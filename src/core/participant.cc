@@ -57,15 +57,15 @@ void Participant::SetVote(TransactionId txn, bool vote) {
 Status Participant::SubmitLocalOps(TransactionId txn,
                                    const std::vector<KvOp>& ops) {
   if (crashed_) return Status::Unavailable("site is down");
-  TxnRecord& record = Record(txn);
-  if (record.local) return Status::AlreadyExists("ops already submitted");
-  record.local =
+  auto [it, inserted] = locals_.try_emplace(txn);
+  if (!inserted) return Status::AlreadyExists("ops already submitted");
+  it->second =
       std::make_unique<LocalTransaction>(txn, kv_.get(), locks_.get());
-  Status s = record.local->Execute(ops);
+  Status s = it->second->Execute(ops);
   if (!s.ok()) {
     // Execution failed (e.g. lock conflict): the site will vote no.
-    record.preset_vote = false;
-    record.local.reset();
+    Record(txn).preset_vote = false;
+    locals_.erase(it);
   }
   return s;
 }
@@ -111,14 +111,14 @@ void Participant::Trace(TransactionId txn, TraceEventType type,
 }
 
 bool Participant::VoteFor(TransactionId txn) {
-  TxnRecord& record = Record(txn);
-  if (record.local) {
-    if (!record.local->executed()) return false;
+  auto local = locals_.find(txn);
+  if (local != locals_.end()) {
+    if (!local->second->executed()) return false;
     // Voting yes is an unconditional promise: force the staged writes to
     // stable storage first.
-    return record.local->Prepare().ok();
+    return local->second->Prepare().ok();
   }
-  return record.preset_vote.value_or(true);
+  return Record(txn).preset_vote.value_or(true);
 }
 
 void Participant::OnVoteCast(TransactionId txn, bool yes) {
@@ -168,21 +168,21 @@ void Participant::OnDecision(TransactionId txn, Outcome outcome) {
 }
 
 void Participant::ApplyOutcomeToDb(TransactionId txn, Outcome outcome) {
-  TxnRecord& record = Record(txn);
-  if (record.local) {
+  auto local = locals_.find(txn);
+  if (local != locals_.end()) {
     if (outcome == Outcome::kCommitted) {
       // 1PC-style flows may decide commit without a vote phase; the staged
       // writes must still be made durable before applying.
-      Status prep = record.local->Prepare();
+      Status prep = local->second->Prepare();
       if (!prep.ok()) {
         NBCP_LOG(kWarn) << "site " << site_ << " txn " << txn
                         << " prepare-at-commit failed: " << prep.ToString();
       }
-      (void)record.local->Commit();
+      (void)local->second->Commit();
     } else {
-      (void)record.local->Abort();
+      (void)local->second->Abort();
     }
-    record.local.reset();
+    locals_.erase(local);
     return;
   }
   if (kv_->IsActive(txn)) {
@@ -315,9 +315,7 @@ void Participant::Crash() {
   termination_.reset();
   recovery_.reset();
   send_traps_.clear();
-  for (auto& [txn, record] : records_) {
-    record.local.reset();  // Points into the destroyed store/locks.
-  }
+  locals_.clear();  // They point into the destroyed store and locks.
 }
 
 void Participant::Recover() {
@@ -338,6 +336,11 @@ void Participant::Recover() {
   };
   hooks.on_decision = [this](TransactionId txn, Outcome outcome) {
     OnDecision(txn, outcome);
+  };
+  // Transactions with a logged outcome are final without being re-decided:
+  // their decision time, trace events and spans stay as first recorded.
+  hooks.durable_outcome = [this](TransactionId txn) {
+    return dt_log_.OutcomeOf(txn);
   };
   hooks.send_filter = [this](TransactionId txn, const Message& m,
                              size_t index, size_t total) {
@@ -434,11 +437,10 @@ void Participant::Recover() {
   };
   rec_hooks.lookup_outcome =
       [this](TransactionId txn) -> std::optional<Outcome> {
-    auto outcome = dt_log_.OutcomeOf(txn);
-    if (outcome.has_value()) return outcome;
-    Outcome engine_outcome = engine_->OutcomeOf(txn);
-    if (engine_outcome != Outcome::kUndecided) return engine_outcome;
-    return std::nullopt;
+    // The engine reads logged outcomes through its durable_outcome hook.
+    Outcome outcome = engine_->OutcomeOf(txn);
+    if (outcome == Outcome::kUndecided) return std::nullopt;
+    return outcome;
   };
   rec_hooks.on_unresolved = [this](TransactionId txn) {
     Record(txn).blocked = true;
@@ -453,16 +455,23 @@ void Participant::Recover() {
       config_.recovery);
 
   // Rebuild database state from the WAL: committed transactions reapplied,
-  // in-doubt ones re-staged prepared.
+  // in-doubt ones re-staged prepared. A transaction re-staged although the
+  // DT log holds its outcome gets that outcome applied now.
   auto in_doubt_kv = kv_->RecoverFromWal();
   if (!in_doubt_kv.ok()) {
     NBCP_LOG(kError) << "site " << site_
                      << " WAL recovery failed: "
                      << in_doubt_kv.status().ToString();
+  } else {
+    for (TransactionId txn : *in_doubt_kv) {
+      std::optional<Outcome> outcome = dt_log_.OutcomeOf(txn);
+      if (outcome.has_value()) ApplyOutcomeToDb(txn, *outcome);
+    }
   }
 
-  // Rebuild protocol positions from the DT log so this site answers
-  // termination state queries consistently.
+  // Rebuild the positions of in-doubt transactions from the DT log so this
+  // site answers termination state queries consistently. Transactions with
+  // a logged outcome need nothing: the engine reads them as final.
   const Automaton& automaton = engine_->automaton();
   bool has_buffer = false;
   for (const LocalState& s : automaton.states()) {
@@ -473,12 +482,6 @@ void Participant::Recover() {
                          ? StateKind::kBuffer
                          : StateKind::kWait;
     (void)engine_->ForceToKind(txn, kind);
-  }
-  for (const DtLogRecord& record : dt_log_.records()) {
-    auto outcome = dt_log_.OutcomeOf(record.txn);
-    if (outcome.has_value()) {
-      (void)engine_->ForceOutcome(record.txn, *outcome);
-    }
   }
 
   // Observability attachments do not survive the volatile components.

@@ -148,7 +148,6 @@ class Participant {
 
   struct TxnRecord {
     std::optional<bool> preset_vote;
-    std::unique_ptr<LocalTransaction> local;
     std::optional<Outcome> outcome;
     SimTime decision_time = 0;
     std::optional<SimTime> termination_start;
@@ -194,6 +193,10 @@ class Participant {
              std::string detail = "") const;
 
   std::unordered_map<TransactionId, TxnRecord> records_;
+  /// Local portions executed and not yet decided (volatile: they point
+  /// into the store and lock table).
+  std::unordered_map<TransactionId, std::unique_ptr<LocalTransaction>>
+      locals_;
   std::unordered_map<TransactionId, SendTrap> send_traps_;
   TraceRecorder* trace_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;

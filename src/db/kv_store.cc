@@ -1,6 +1,7 @@
 #include "db/kv_store.h"
 
-#include <set>
+#include <optional>
+#include <utility>
 
 namespace nbcp {
 
@@ -123,62 +124,81 @@ void KvStore::CrashVolatile() {
 }
 
 Result<std::vector<TransactionId>> KvStore::RecoverFromWal() {
-  committed_.clear();
-  active_.clear();
+  // Replay starts at the latest checkpoint: the records it carries for
+  // then-unresolved transactions, followed by the log's tail. Both are in
+  // log order, so their concatenation is the whole log minus the records of
+  // transactions the checkpoint's image already settles.
+  const WalCheckpoint& checkpoint = wal_->checkpoint();
+  const std::vector<WalRecord>& log = wal_->records();
+  std::vector<const WalRecord*> replay;
+  replay.reserve(checkpoint.carried.size() + log.size() - checkpoint.lsn);
+  for (const WalRecord& r : checkpoint.carried) replay.push_back(&r);
+  for (size_t i = checkpoint.lsn; i < log.size(); ++i) {
+    replay.push_back(&log[i]);
+  }
 
-  // Pass 1: final outcome of each logged transaction.
-  std::set<TransactionId> committed_txns;
-  std::set<TransactionId> aborted_txns;
-  for (const WalRecord& r : wal_->records()) {
-    if (r.type == WalRecordType::kCommit) {
-      if (aborted_txns.count(r.txn) != 0) {
-        return Status::Corruption("txn both committed and aborted in WAL");
-      }
-      committed_txns.insert(r.txn);
-    } else if (r.type == WalRecordType::kAbort) {
-      if (committed_txns.count(r.txn) != 0) {
-        return Status::Corruption("txn both committed and aborted in WAL");
-      }
-      aborted_txns.insert(r.txn);
+  // Pass 1: final outcome of each replayed transaction.
+  std::unordered_map<TransactionId, WalRecordType> outcomes;
+  for (const WalRecord* r : replay) {
+    if (r->type != WalRecordType::kCommit && r->type != WalRecordType::kAbort) {
+      continue;
+    }
+    auto [it, inserted] = outcomes.try_emplace(r->txn, r->type);
+    if (!inserted && it->second != r->type) {
+      return Status::Corruption("txn both committed and aborted in WAL");
     }
   }
+  auto outcome_of = [&outcomes](TransactionId txn) {
+    auto it = outcomes.find(txn);
+    return it == outcomes.end() ? std::optional<WalRecordType>()
+                                : std::optional(it->second);
+  };
 
   // Pass 2: redo committed writes in log order; re-stage prepared-undecided
   // ("in-doubt") transactions for the distributed recovery protocol.
+  committed_ = checkpoint.image;
+  active_.clear();
   std::vector<TransactionId> in_doubt;
-  for (const WalRecord& r : wal_->records()) {
-    switch (r.type) {
+  for (const WalRecord* r : replay) {
+    std::optional<WalRecordType> outcome = outcome_of(r->txn);
+    switch (r->type) {
       case WalRecordType::kWrite: {
-        if (committed_txns.count(r.txn) != 0) {
-          if (r.is_delete) {
-            committed_.erase(r.key);
+        if (outcome == WalRecordType::kCommit) {
+          if (r->is_delete) {
+            committed_.erase(r->key);
           } else {
-            committed_[r.key] = r.new_value;
+            committed_[r->key] = r->new_value;
           }
-        } else if (aborted_txns.count(r.txn) == 0) {
-          active_[r.txn].writes[r.key] = StagedWrite{r.new_value, r.is_delete};
+        } else if (!outcome.has_value()) {
+          active_[r->txn].writes[r->key] =
+              StagedWrite{r->new_value, r->is_delete};
         }
         break;
       }
       case WalRecordType::kPrepare: {
-        if (committed_txns.count(r.txn) == 0 &&
-            aborted_txns.count(r.txn) == 0) {
-          active_[r.txn].prepared = true;
-          in_doubt.push_back(r.txn);
+        if (!outcome.has_value()) {
+          active_[r->txn].prepared = true;
+          in_doubt.push_back(r->txn);
         }
         break;
       }
       case WalRecordType::kBegin: {
-        if (committed_txns.count(r.txn) == 0 &&
-            aborted_txns.count(r.txn) == 0) {
-          active_.try_emplace(r.txn);
-        }
+        if (!outcome.has_value()) active_.try_emplace(r->txn);
         break;
       }
       case WalRecordType::kCommit:
       case WalRecordType::kAbort:
         break;
     }
+  }
+
+  // The image was just rebuilt: checkpoint it, carrying the records of the
+  // in-doubt transactions, so the next recovery starts here. The carried
+  // records are copied before the aborts below append to the log.
+  WalCheckpoint next;
+  for (const WalRecord* r : replay) {
+    auto it = active_.find(r->txn);
+    if (it != active_.end() && it->second.prepared) next.carried.push_back(*r);
   }
 
   // Transactions begun but never prepared are aborted immediately on
@@ -193,6 +213,10 @@ Result<std::vector<TransactionId>> KvStore::RecoverFromWal() {
         WalRecord{WalRecordType::kAbort, txn, "", "", false, "", false});
     active_.erase(txn);
   }
+
+  next.lsn = wal_->size();
+  next.image = committed_;
+  wal_->SetCheckpoint(std::move(next));
   return in_doubt;
 }
 

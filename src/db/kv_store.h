@@ -20,9 +20,10 @@ namespace nbcp {
 /// strategy that provides atomicity at the local level": a transaction's
 /// writes are staged, made durable at Prepare() (undo/redo records), and
 /// atomically applied at Commit() or discarded at Abort(). The committed map
-/// is volatile; after a crash, RecoverFromWal() reconstructs it from the log
-/// and reports in-doubt transactions (prepared but undecided) for the
-/// distributed recovery protocol to resolve.
+/// is volatile; after a crash, RecoverFromWal() reconstructs it from the
+/// log's latest checkpoint and the records after it, and reports in-doubt
+/// transactions (prepared but undecided) for the distributed recovery
+/// protocol to resolve.
 class KvStore {
  public:
   /// `wal` must outlive the store.
@@ -73,8 +74,15 @@ class KvStore {
   void CrashVolatile();
 
   /// Rebuilds the committed state from the WAL. Prepared-but-undecided
-  /// transactions are re-staged in prepared state and returned so the
-  /// distributed recovery protocol can resolve them.
+  /// transactions are re-staged in prepared state and returned, in log
+  /// order, so the distributed recovery protocol can resolve them.
+  ///
+  /// Replay starts from the WAL's checkpoint, so it costs the records
+  /// written since the previous recovery plus those of the transactions
+  /// still in doubt, not the whole log. It ends by writing a new checkpoint.
+  /// The result equals a replay of the whole log as long as no two
+  /// unresolved transactions stage writes to the same key (strict
+  /// two-phase locking).
   Result<std::vector<TransactionId>> RecoverFromWal();
 
  private:

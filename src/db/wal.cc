@@ -1,5 +1,7 @@
 #include "db/wal.h"
 
+#include <algorithm>
+
 namespace nbcp {
 
 std::string ToString(WalRecordType type) {
@@ -19,6 +21,7 @@ std::string ToString(WalRecordType type) {
 }
 
 void WriteAheadLog::Truncate(size_t upto) {
+  checkpoint_.lsn -= std::min(checkpoint_.lsn, upto);
   if (upto >= records_.size()) {
     records_.clear();
     return;

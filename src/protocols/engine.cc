@@ -10,14 +10,59 @@ namespace nbcp {
 
 ProtocolEngine::ProtocolEngine(SiteId site, const ProtocolSpec* spec,
                                size_t n, Transport* network)
-    : site_(site), spec_(spec), n_(n), network_(network) {}
+    : site_(site), spec_(spec), n_(n), network_(network) {
+  // The same states ForceToKind picks: the first of each final kind.
+  const Automaton& a = automaton();
+  for (size_t s = 0; s < a.num_states(); ++s) {
+    StateKind kind = a.state(static_cast<StateIndex>(s)).kind;
+    if (kind == StateKind::kCommit && commit_state_ == kNoState) {
+      commit_state_ = static_cast<StateIndex>(s);
+    }
+    if (kind == StateKind::kAbort && abort_state_ == kNoState) {
+      abort_state_ = static_cast<StateIndex>(s);
+    }
+  }
+}
 
 ProtocolEngine::TxnState& ProtocolEngine::GetOrCreate(TransactionId txn) {
   auto [it, inserted] = txns_.try_emplace(txn);
   if (inserted) {
-    it->second.state = automaton().initial_state();
+    StateIndex logged = LoggedFinalState(txn);
+    if (logged != kNoState) {
+      it->second.state = logged;
+      it->second.decided = true;
+    } else {
+      it->second.state = automaton().initial_state();
+      if (maybe_undecided_.size() >= compact_at_) {
+        std::erase_if(maybe_undecided_, [this](TransactionId t) {
+          return txns_.at(t).decided;
+        });
+        compact_at_ = std::max<size_t>(64, 2 * maybe_undecided_.size());
+      }
+      maybe_undecided_.push_back(txn);
+    }
   }
   return it->second;
+}
+
+StateIndex ProtocolEngine::LoggedFinalState(TransactionId txn) const {
+  if (!hooks_.durable_outcome) return kNoState;
+  std::optional<Outcome> outcome = hooks_.durable_outcome(txn);
+  if (!outcome.has_value()) return kNoState;
+  switch (*outcome) {
+    case Outcome::kCommitted:
+      return commit_state_;
+    case Outcome::kAborted:
+      return abort_state_;
+    case Outcome::kUndecided:
+      break;
+  }
+  return kNoState;
+}
+
+StateIndex ProtocolEngine::StateOf(TransactionId txn) const {
+  auto it = txns_.find(txn);
+  return it != txns_.end() ? it->second.state : LoggedFinalState(txn);
 }
 
 Status ProtocolEngine::StartTransaction(TransactionId txn) {
@@ -42,19 +87,19 @@ void ProtocolEngine::OnMessage(const Message& message) {
 }
 
 bool ProtocolEngine::HasTransaction(TransactionId txn) const {
-  return txns_.count(txn) != 0;
+  return StateOf(txn) != kNoState;
 }
 
 Result<LocalState> ProtocolEngine::CurrentState(TransactionId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return Status::NotFound("unknown transaction");
-  return automaton().state(it->second.state);
+  StateIndex state = StateOf(txn);
+  if (state == kNoState) return Status::NotFound("unknown transaction");
+  return automaton().state(state);
 }
 
 StateKind ProtocolEngine::CurrentKind(TransactionId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return StateKind::kInitial;
-  return automaton().state(it->second.state).kind;
+  StateIndex state = StateOf(txn);
+  if (state == kNoState) return StateKind::kInitial;
+  return automaton().state(state).kind;
 }
 
 Outcome ProtocolEngine::OutcomeOf(TransactionId txn) const {
@@ -271,13 +316,15 @@ void ProtocolEngine::Freeze(TransactionId txn) { frozen_.insert(txn); }
 
 void ProtocolEngine::Clear() {
   txns_.clear();
+  maybe_undecided_.clear();
+  compact_at_ = 0;
   frozen_.clear();
 }
 
 std::vector<TransactionId> ProtocolEngine::UndecidedTransactions() const {
   std::vector<TransactionId> out;
-  for (const auto& [txn, ts] : txns_) {
-    if (!ts.decided) out.push_back(txn);
+  for (TransactionId txn : maybe_undecided_) {
+    if (!txns_.at(txn).decided) out.push_back(txn);
   }
   std::sort(out.begin(), out.end());
   return out;

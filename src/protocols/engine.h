@@ -43,6 +43,13 @@ struct EngineHooks {
   std::function<bool(TransactionId, const Message&, size_t index,
                      size_t total)>
       send_filter;
+
+  /// The outcome this site has durably logged for `txn`, if any. A
+  /// transaction the engine holds no state for but whose outcome is logged
+  /// is treated as already final: it occupies the commit or abort state
+  /// without any hook firing, so a recovering site need not re-decide its
+  /// history. Default: nothing is logged.
+  std::function<std::optional<Outcome>(TransactionId)> durable_outcome;
 };
 
 /// Runtime interpreter executing one role automaton of a ProtocolSpec at one
@@ -79,7 +86,8 @@ class ProtocolEngine {
   /// Feeds a protocol message (types from the spec vocabulary).
   void OnMessage(const Message& message);
 
-  /// True once this site has seen `txn` (started or received a message).
+  /// True once this site has seen `txn` (started or received a message) or
+  /// has its outcome durably logged.
   bool HasTransaction(TransactionId txn) const;
 
   /// Current local state of `txn`. NotFound if unknown.
@@ -118,7 +126,7 @@ class ProtocolEngine {
   /// lives in the DT log, owned by the recovery layer.
   void Clear();
 
-  /// Transactions currently known and undecided.
+  /// Transactions currently known and undecided, ascending.
   std::vector<TransactionId> UndecidedTransactions() const;
 
  private:
@@ -131,7 +139,16 @@ class ProtocolEngine {
     bool decided = false;
   };
 
+  /// Finds or creates the state of `txn`. A new transaction starts final
+  /// when its outcome is durably logged, else in the initial state.
   TxnState& GetOrCreate(TransactionId txn);
+
+  /// The state `txn` occupies: its own, else the final state matching its
+  /// durable outcome. kNoState when the engine has never heard of it.
+  StateIndex StateOf(TransactionId txn) const;
+
+  /// The commit or abort state matching a durable outcome, or kNoState.
+  StateIndex LoggedFinalState(TransactionId txn) const;
 
   /// Fires enabled transitions until quiescent.
   void Pump(TransactionId txn, TxnState& ts);
@@ -155,7 +172,15 @@ class ProtocolEngine {
   size_t n_;
   Transport* network_;
   EngineHooks hooks_;
+  StateIndex commit_state_ = kNoState;
+  StateIndex abort_state_ = kNoState;
   std::unordered_map<TransactionId, TxnState> txns_;
+  /// Transactions that may still be undecided. Decided ones are dropped
+  /// whenever the list doubles, so UndecidedTransactions() costs the
+  /// undecided transactions plus those created since the last drop, not
+  /// the engine's history.
+  std::vector<TransactionId> maybe_undecided_;
+  size_t compact_at_ = 0;
   std::set<TransactionId> frozen_;
 };
 

@@ -1,5 +1,7 @@
 #include "recovery/dt_log.h"
 
+#include <algorithm>
+
 namespace nbcp {
 
 std::string ToString(DtLogEvent event) {
@@ -23,7 +25,15 @@ std::string ToString(DtLogEvent event) {
 void DtLog::Append(TransactionId txn, DtLogEvent event) {
   records_.push_back(DtLogRecord{txn, event});
   auto [it, inserted] = summary_.try_emplace(txn);
-  if (inserted) order_.push_back(txn);
+  if (inserted) {
+    if (unresolved_.size() >= compact_at_) {
+      std::erase_if(unresolved_, [this](TransactionId t) {
+        return summary_.at(t).outcome.has_value();
+      });
+      compact_at_ = std::max<size_t>(64, 2 * unresolved_.size());
+    }
+    unresolved_.push_back(txn);
+  }
   switch (event) {
     case DtLogEvent::kStart:
       break;
@@ -66,24 +76,23 @@ bool DtLog::Knows(TransactionId txn) const {
   return summary_.count(txn) != 0;
 }
 
-std::vector<TransactionId> DtLog::InDoubt() const {
+template <typename Pred>
+std::vector<TransactionId> DtLog::Unresolved(Pred keep) const {
   std::vector<TransactionId> out;
-  for (TransactionId txn : order_) {
+  for (TransactionId txn : unresolved_) {
     const TxnSummary& s = summary_.at(txn);
-    if (s.voted_yes && !s.outcome.has_value()) out.push_back(txn);
+    if (!s.outcome.has_value() && keep(s)) out.push_back(txn);
   }
   return out;
 }
 
+std::vector<TransactionId> DtLog::InDoubt() const {
+  return Unresolved([](const TxnSummary& s) { return s.voted_yes; });
+}
+
 std::vector<TransactionId> DtLog::UnvotedUndecided() const {
-  std::vector<TransactionId> out;
-  for (TransactionId txn : order_) {
-    const TxnSummary& s = summary_.at(txn);
-    if (!s.voted_yes && !s.voted_no && !s.outcome.has_value()) {
-      out.push_back(txn);
-    }
-  }
-  return out;
+  return Unresolved(
+      [](const TxnSummary& s) { return !s.voted_yes && !s.voted_no; });
 }
 
 }  // namespace nbcp

@@ -55,11 +55,11 @@ class DtLog {
   bool Knows(TransactionId txn) const;
 
   /// Transactions with a yes vote but no final outcome: the site cannot
-  /// decide them unilaterally on recovery.
+  /// decide them unilaterally on recovery. First-seen order.
   std::vector<TransactionId> InDoubt() const;
 
   /// Transactions known but never voted on: aborted unilaterally on
-  /// recovery ("failure before the commit point").
+  /// recovery ("failure before the commit point"). First-seen order.
   std::vector<TransactionId> UnvotedUndecided() const;
 
  private:
@@ -70,9 +70,18 @@ class DtLog {
     std::optional<Outcome> outcome;
   };
 
+  /// Transactions of `unresolved_` whose summary satisfies `keep`.
+  template <typename Pred>
+  std::vector<TransactionId> Unresolved(Pred keep) const;
+
   std::vector<DtLogRecord> records_;
   std::unordered_map<TransactionId, TxnSummary> summary_;
-  std::vector<TransactionId> order_;  ///< First-seen order, for iteration.
+  /// Transactions that may still lack an outcome, in first-seen order.
+  /// Decided ones are dropped whenever the list doubles, so InDoubt() and
+  /// UnvotedUndecided() cost the unresolved transactions plus those seen
+  /// since the last drop, not the log's history.
+  std::vector<TransactionId> unresolved_;
+  size_t compact_at_ = 0;
 };
 
 }  // namespace nbcp

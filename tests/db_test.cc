@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+
 #include "db/kv_store.h"
 #include "db/local_transaction.h"
 #include "db/lock_manager.h"
@@ -159,6 +166,257 @@ TEST_F(KvStoreTest, WalTruncate) {
 TEST(WalTest, RecordTypeNames) {
   EXPECT_EQ(ToString(WalRecordType::kPrepare), "PREPARE");
   EXPECT_EQ(ToString(WalRecordType::kWrite), "WRITE");
+}
+
+// --- WAL checkpoints -------------------------------------------------------
+
+/// Drives a KvStore through a seeded random history of Begin / Put / Delete
+/// / Prepare / Commit / Abort, with crashes, recoveries and truncations at
+/// the checkpoint at random points. Conflicting writes are serialized as
+/// strict two-phase locking would: a key staged by an unresolved
+/// transaction is left alone by the others.
+class CheckpointHistory {
+ public:
+  explicit CheckpointHistory(uint64_t seed) : rng_(seed), store_(&wal_) {}
+
+  /// Runs `steps` random operations, checking every recovery against a
+  /// full replay.
+  void Run(size_t steps) {
+    for (size_t i = 0; i < steps; ++i) {
+      Step();
+      Mirror();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  size_t recoveries() const { return recoveries_; }
+  size_t truncations() const { return truncations_; }
+
+ private:
+  struct Txn {
+    bool prepared = false;
+    std::set<std::string> keys;
+  };
+
+  static constexpr int kKeys = 6;
+  static std::string Key(uint64_t i) { return "k" + std::to_string(i); }
+
+  TransactionId Pick(bool prepared) {
+    std::vector<TransactionId> candidates;
+    for (const auto& [txn, state] : active_) {
+      if (state.prepared == prepared) candidates.push_back(txn);
+    }
+    if (candidates.empty()) return kNoTransaction;
+    return candidates[rng_.Uniform(0, candidates.size() - 1)];
+  }
+
+  void Resolve(TransactionId txn) {
+    for (const std::string& key : active_[txn].keys) owner_.erase(key);
+    active_.erase(txn);
+  }
+
+  void Step() {
+    switch (rng_.Uniform(0, 9)) {
+      case 0:
+      case 1: {
+        if (active_.size() >= 4) break;
+        TransactionId txn = next_txn_++;
+        ASSERT_TRUE(store_.Begin(txn).ok());
+        active_[txn];
+        break;
+      }
+      case 2:
+      case 3:
+      case 4: {
+        TransactionId txn = Pick(/*prepared=*/false);
+        std::string key = Key(rng_.Uniform(0, kKeys - 1));
+        if (txn == kNoTransaction) break;
+        auto owner = owner_.find(key);
+        if (owner != owner_.end() && owner->second != txn) break;
+        owner_[key] = txn;
+        active_[txn].keys.insert(key);
+        if (rng_.Bernoulli(0.25)) {
+          ASSERT_TRUE(store_.Delete(txn, key).ok());
+        } else {
+          ASSERT_TRUE(
+              store_.Put(txn, key, "v" + std::to_string(next_value_++)).ok());
+        }
+        break;
+      }
+      case 5: {
+        TransactionId txn = Pick(/*prepared=*/false);
+        if (txn == kNoTransaction) break;
+        ASSERT_TRUE(store_.Prepare(txn).ok());
+        active_[txn].prepared = true;
+        break;
+      }
+      case 6: {
+        TransactionId txn = Pick(/*prepared=*/true);
+        if (txn == kNoTransaction) break;
+        ASSERT_TRUE(store_.Commit(txn).ok());
+        Resolve(txn);
+        break;
+      }
+      case 7: {
+        TransactionId txn = Pick(rng_.Bernoulli(0.5));
+        if (txn == kNoTransaction) break;
+        ASSERT_TRUE(store_.Abort(txn).ok());
+        Resolve(txn);
+        break;
+      }
+      case 8:
+        CrashAndRecover();
+        break;
+      case 9:
+        if (rng_.Bernoulli(0.3)) {
+          Mirror();
+          wal_.Truncate(wal_.checkpoint().lsn);
+          mirrored_ = wal_.size();
+          EXPECT_EQ(wal_.checkpoint().lsn, 0u);
+          ++truncations_;
+        }
+        break;
+    }
+  }
+
+  /// Copies the records appended since the last call into the full history.
+  void Mirror() {
+    for (size_t i = mirrored_; i < wal_.size(); ++i) {
+      full_.push_back(wal_.records()[i]);
+    }
+    mirrored_ = wal_.size();
+  }
+
+  void CrashAndRecover() {
+    store_.CrashVolatile();
+    auto in_doubt = store_.RecoverFromWal();
+    ASSERT_TRUE(in_doubt.ok()) << in_doubt.status().ToString();
+    Mirror();
+    ++recoveries_;
+    // Recovery aborts what was never prepared.
+    std::vector<TransactionId> unprepared;
+    for (const auto& [txn, state] : active_) {
+      if (!state.prepared) unprepared.push_back(txn);
+    }
+    for (TransactionId txn : unprepared) Resolve(txn);
+
+    // Reference: a fresh store replaying a checkpoint-free copy of the
+    // whole history.
+    WriteAheadLog reference_wal;
+    for (const WalRecord& r : full_) reference_wal.Append(r);
+    KvStore reference(&reference_wal);
+    auto reference_in_doubt = reference.RecoverFromWal();
+    ASSERT_TRUE(reference_in_doubt.ok());
+    EXPECT_EQ(reference_wal.size(), full_.size()) << "nothing left to abort";
+
+    ASSERT_EQ(*in_doubt, *reference_in_doubt) << "recovery " << recoveries_;
+    EXPECT_EQ(in_doubt->size(), active_.size());
+    EXPECT_EQ(store_.num_committed_keys(), reference.num_committed_keys());
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(store_.GetCommitted(Key(k)), reference.GetCommitted(Key(k)))
+          << "key " << Key(k) << ", recovery " << recoveries_;
+    }
+    for (TransactionId txn : *in_doubt) {
+      EXPECT_TRUE(store_.IsPrepared(txn));
+      EXPECT_TRUE(reference.IsPrepared(txn));
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        auto staged = store_.Get(txn, Key(k));
+        auto expected = reference.Get(txn, Key(k));
+        ASSERT_EQ(staged.ok(), expected.ok()) << "txn " << txn;
+        if (staged.ok()) {
+          EXPECT_EQ(*staged, *expected) << "txn " << txn;
+        }
+      }
+    }
+  }
+
+  Rng rng_;
+  WriteAheadLog wal_;
+  KvStore store_;
+  std::vector<WalRecord> full_;  ///< Every record ever appended, in order.
+  size_t mirrored_ = 0;          ///< Prefix of wal_ already in full_.
+  std::map<TransactionId, Txn> active_;
+  std::map<std::string, TransactionId> owner_;
+  TransactionId next_txn_ = 1;
+  uint64_t next_value_ = 0;
+  size_t recoveries_ = 0;
+  size_t truncations_ = 0;
+};
+
+TEST(WalCheckpointTest, RecoveryMatchesFullReplay) {
+  size_t recoveries = 0;
+  size_t truncations = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckpointHistory history(seed);
+    history.Run(400);
+    if (HasFatalFailure()) return;
+    recoveries += history.recoveries();
+    truncations += history.truncations();
+  }
+  EXPECT_GT(recoveries, 100u);
+  EXPECT_GT(truncations, 10u);
+}
+
+TEST_F(KvStoreTest, RecoveryWritesCheckpoint) {
+  ASSERT_TRUE(store_.Begin(1).ok());
+  ASSERT_TRUE(store_.Put(1, "a", "1").ok());
+  ASSERT_TRUE(store_.Prepare(1).ok());
+  ASSERT_TRUE(store_.Commit(1).ok());
+  ASSERT_TRUE(store_.Begin(2).ok());
+  ASSERT_TRUE(store_.Put(2, "b", "2").ok());
+  ASSERT_TRUE(store_.Prepare(2).ok());
+  ASSERT_TRUE(store_.Begin(3).ok());  // Unprepared: aborted on recovery.
+
+  store_.CrashVolatile();
+  ASSERT_TRUE(store_.RecoverFromWal().ok());
+  const WalCheckpoint& checkpoint = wal_.checkpoint();
+  EXPECT_EQ(checkpoint.lsn, wal_.size());
+  EXPECT_EQ(checkpoint.image,
+            (std::map<std::string, std::string>{{"a", "1"}}));
+  // Only the in-doubt transaction's records are carried.
+  ASSERT_EQ(checkpoint.carried.size(), 3u);
+  for (const WalRecord& r : checkpoint.carried) EXPECT_EQ(r.txn, 2u);
+}
+
+TEST_F(KvStoreTest, TruncateAtCheckpointLosesNothing) {
+  ASSERT_TRUE(store_.Begin(1).ok());
+  ASSERT_TRUE(store_.Put(1, "a", "1").ok());
+  ASSERT_TRUE(store_.Prepare(1).ok());
+  ASSERT_TRUE(store_.Commit(1).ok());
+  ASSERT_TRUE(store_.Begin(2).ok());
+  ASSERT_TRUE(store_.Put(2, "b", "2").ok());
+  ASSERT_TRUE(store_.Prepare(2).ok());
+  store_.CrashVolatile();
+  ASSERT_TRUE(store_.RecoverFromWal().ok());
+
+  // Records after the checkpoint keep their place across truncation.
+  ASSERT_TRUE(store_.Commit(2).ok());
+  const size_t lsn = wal_.checkpoint().lsn;
+  wal_.Truncate(lsn);
+  EXPECT_EQ(wal_.checkpoint().lsn, 0u);
+  ASSERT_EQ(wal_.size(), 1u);
+  EXPECT_EQ(wal_.records()[0].type, WalRecordType::kCommit);
+
+  store_.CrashVolatile();
+  auto in_doubt = store_.RecoverFromWal();
+  ASSERT_TRUE(in_doubt.ok());
+  EXPECT_TRUE(in_doubt->empty());
+  EXPECT_EQ(store_.GetCommitted("a"), std::optional<std::string>("1"));
+  EXPECT_EQ(store_.GetCommitted("b"), std::optional<std::string>("2"));
+}
+
+TEST_F(KvStoreTest, TruncatePastCheckpointRebasesIt) {
+  ASSERT_TRUE(store_.Begin(1).ok());
+  store_.CrashVolatile();
+  ASSERT_TRUE(store_.RecoverFromWal().ok());  // Checkpoint after the abort.
+  ASSERT_EQ(wal_.checkpoint().lsn, 2u);
+  ASSERT_TRUE(store_.Begin(2).ok());
+  wal_.Truncate(wal_.size());
+  EXPECT_EQ(wal_.checkpoint().lsn, 0u);
+  EXPECT_EQ(wal_.size(), 0u);
+  store_.CrashVolatile();
+  EXPECT_TRUE(store_.RecoverFromWal().ok());
 }
 
 // --- LockManager ----------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "net/network.h"
 #include "protocols/engine.h"
 #include "protocols/protocols.h"
@@ -208,6 +211,23 @@ TEST_F(EngineTest, UndecidedTransactionsListsInFlight) {
   EXPECT_TRUE(E(1).UndecidedTransactions().empty());
 }
 
+TEST_F(EngineTest, UndecidedTransactionsAcrossLongHistories) {
+  // Decided transactions are dropped from the bookkeeping in batches; the
+  // list must stay exact across many of them.
+  for (TransactionId t = 1; t <= 300; ++t) {
+    ASSERT_TRUE(E(1).StartTransaction(t).ok());
+  }
+  sim_.Run();
+  std::vector<TransactionId> pending;
+  for (TransactionId t = 400; t > 300; t -= 3) {
+    ASSERT_TRUE(E(1).StartTransaction(t).ok());
+    pending.insert(pending.begin(), t);
+  }
+  EXPECT_EQ(E(1).UndecidedTransactions(), pending);
+  sim_.Run();
+  EXPECT_TRUE(E(1).UndecidedTransactions().empty());
+}
+
 TEST_F(EngineTest, MultipleConcurrentTransactions) {
   ASSERT_TRUE(E(1).StartTransaction(1).ok());
   ASSERT_TRUE(E(1).StartTransaction(2).ok());
@@ -249,6 +269,72 @@ TEST_F(EngineTest, StartAfterDecisionFails) {
   ASSERT_TRUE(E(1).StartTransaction(1).ok());
   sim_.Run();
   EXPECT_TRUE(E(1).StartTransaction(1).IsFailedPrecondition());
+}
+
+TEST_F(EngineTest, LoggedOutcomeIsFinalWithoutRedeciding) {
+  SetSpec(MakeThreePhaseCentral());
+  // Site 2 logs each decision durably, as a participant's DT log does.
+  std::map<TransactionId, Outcome> durable;
+  EngineHooks logging;
+  logging.on_decision = [&](TransactionId txn, Outcome outcome) {
+    durable[txn] = outcome;
+  };
+  E(2).set_hooks(std::move(logging));
+  ASSERT_TRUE(E(1).StartTransaction(1).ok());
+  sim_.Run();
+  ASSERT_EQ(durable[1], Outcome::kCommitted);
+  durable[2] = Outcome::kAborted;  // Decided in an earlier session.
+
+  // Site 2 crashes and recovers: a fresh engine over the same durable log.
+  engines_[2] = std::make_unique<ProtocolEngine>(2, &spec_, 3, &net_);
+  int hook_calls = 0;
+  EngineHooks hooks;
+  hooks.vote = [&](TransactionId) {
+    ++hook_calls;
+    return true;
+  };
+  hooks.on_state_change = [&](TransactionId, const LocalState&) {
+    ++hook_calls;
+  };
+  hooks.on_decision = [&](TransactionId, Outcome) { ++hook_calls; };
+  hooks.on_vote_cast = [&](TransactionId, bool) { ++hook_calls; };
+  hooks.durable_outcome = [&](TransactionId txn) -> std::optional<Outcome> {
+    auto it = durable.find(txn);
+    if (it == durable.end()) return std::nullopt;
+    return it->second;
+  };
+  E(2).set_hooks(std::move(hooks));
+
+  EXPECT_TRUE(E(2).HasTransaction(1));
+  EXPECT_TRUE(E(2).HasTransaction(2));
+  EXPECT_FALSE(E(2).HasTransaction(3));
+  auto state = E(2).CurrentState(1);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->kind, StateKind::kCommit);
+  state = E(2).CurrentState(2);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->kind, StateKind::kAbort);
+  EXPECT_EQ(E(2).OutcomeOf(1), Outcome::kCommitted);
+  EXPECT_EQ(E(2).CurrentKind(2), StateKind::kAbort);
+
+  // A late, re-delivered prepare fires nothing and sends nothing.
+  const NetworkStats before = net_.StatsSnapshot();
+  Message prepare;
+  prepare.type = msg::kPrepare;
+  prepare.from = 1;
+  prepare.to = 2;
+  prepare.txn = 1;
+  E(2).OnMessage(prepare);
+  sim_.Run();
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, before.messages_sent);
+  EXPECT_EQ(E(2).CurrentKind(1), StateKind::kCommit);
+
+  EXPECT_TRUE(E(2).ForceOutcome(1, Outcome::kAborted).IsFailedPrecondition());
+  EXPECT_TRUE(E(2).ForceOutcome(2, Outcome::kCommitted).IsFailedPrecondition());
+  EXPECT_TRUE(E(2).ForceOutcome(1, Outcome::kCommitted).ok());
+  EXPECT_TRUE(E(2).StartTransaction(2).IsFailedPrecondition());
+  EXPECT_TRUE(E(2).UndecidedTransactions().empty());
+  EXPECT_EQ(hook_calls, 0);
 }
 
 }  // namespace

@@ -13,6 +13,12 @@ struct ProtocolCase {
   bool nonblocking;
 };
 
+// Without a printer gtest shows the raw bytes of `name`, a pointer that moves
+// with address-space randomisation, and the test's listed name moves with it.
+void PrintTo(const ProtocolCase& pcase, std::ostream* os) {
+  *os << pcase.name;
+}
+
 class TheoremTest
     : public ::testing::TestWithParam<std::tuple<ProtocolCase, size_t>> {};
 

@@ -1,6 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/transaction_manager.h"
 #include "net/network.h"
+#include "obs/span.h"
+#include "protocols/protocols.h"
 #include "recovery/dt_log.h"
 #include "recovery/recovery_manager.h"
 #include "sim/simulator.h"
@@ -31,6 +41,33 @@ TEST(DtLogTest, InDoubtDetection) {
   log.Append(4, DtLogEvent::kStart);          // Never voted.
   EXPECT_EQ(log.InDoubt(), (std::vector<TransactionId>{1}));
   EXPECT_EQ(log.UnvotedUndecided(), (std::vector<TransactionId>{4}));
+}
+
+TEST(DtLogTest, UnresolvedListsSurviveLongHistories) {
+  // Decided transactions are dropped from the unresolved bookkeeping in
+  // batches; the lists must keep exactly the unresolved ones, in
+  // first-seen order, across many batches.
+  DtLog log;
+  std::vector<TransactionId> in_doubt;
+  std::vector<TransactionId> unvoted;
+  for (TransactionId txn = 1; txn <= 2000; ++txn) {
+    log.Append(txn, DtLogEvent::kStart);
+    if (txn % 97 == 0) {
+      unvoted.push_back(txn);
+      continue;
+    }
+    log.Append(txn, DtLogEvent::kVoteYes);
+    if (txn % 89 == 0) {
+      in_doubt.push_back(txn);
+      continue;
+    }
+    log.Append(txn, txn % 2 == 0 ? DtLogEvent::kCommit : DtLogEvent::kAbort);
+  }
+  EXPECT_EQ(log.InDoubt(), in_doubt);
+  EXPECT_EQ(log.UnvotedUndecided(), unvoted);
+  log.Append(in_doubt.front(), DtLogEvent::kCommit);
+  in_doubt.erase(in_doubt.begin());
+  EXPECT_EQ(log.InDoubt(), in_doubt);
 }
 
 TEST(DtLogTest, PreparedImpliesVotedYes) {
@@ -157,6 +194,95 @@ TEST_F(RecoveryManagerTest, LateKnowledgeDuringRetryWindowResolves) {
 TEST_F(RecoveryManagerTest, OwnsMessagePrefix) {
   EXPECT_TRUE(RecoveryManager::OwnsMessage("rec:query"));
   EXPECT_FALSE(RecoveryManager::OwnsMessage("term:move"));
+}
+
+// --- Recovery cost -----------------------------------------------------
+
+/// Number of events a recorder has seen, including ring-buffer evictions.
+uint64_t EventsRecorded(const TraceRecorder& trace) {
+  return trace.events().size() + trace.dropped();
+}
+
+TEST(RecoveryCostTest, RecoveryDoesNotRewriteHistory) {
+  SystemConfig config;
+  config.protocol = "3PC-central";
+  config.num_sites = 3;
+  config.seed = 5;
+  config.trace = true;
+  auto system = std::move(CommitSystem::Create(config)).value();
+  TransactionId txn = system->Begin();
+  std::vector<KvOp> ops = {KvOp{1, KvOp::Kind::kPut, "a", "1"},
+                           KvOp{2, KvOp::Kind::kPut, "b", "2"}};
+  ASSERT_TRUE(system->SubmitOps(txn, ops).ok());
+  TxnResult decided = system->RunToCompletion(txn);
+  ASSERT_EQ(decided.outcome, Outcome::kCommitted);
+  const std::optional<SimTime> decision_time =
+      system->participant(1).DecisionTime(txn);
+  ASSERT_TRUE(decision_time.has_value());
+
+  system->injector().CrashNow(1);
+  system->simulator().Run();
+  const size_t events_before = system->trace()->events().size();
+  const size_t spans_before = system->spans().ForTransaction(txn).size();
+  system->injector().RecoverNow(1);
+  system->simulator().Run();
+  ASSERT_GT(system->simulator().now(), *decision_time);
+
+  EXPECT_EQ(system->participant(1).DecisionTime(txn), decision_time);
+  EXPECT_EQ(system->Summarize(txn).latency(), decided.latency());
+  const std::deque<TraceEvent>& events = system->trace()->events();
+  for (size_t i = events_before; i < events.size(); ++i) {
+    if (events[i].txn != txn) continue;
+    EXPECT_NE(events[i].type, TraceEventType::kStateChange);
+    EXPECT_NE(events[i].type, TraceEventType::kDecision);
+  }
+  EXPECT_EQ(system->spans().ForTransaction(txn).size(), spans_before);
+  // The recovered site still knows the outcome and the committed data.
+  EXPECT_EQ(system->participant(1).OutcomeOf(txn), Outcome::kCommitted);
+  EXPECT_EQ(system->participant(1).kv().GetCommitted("a"),
+            std::optional<std::string>("1"));
+}
+
+TEST(RecoveryCostTest, PerCycleWorkDoesNotGrowWithHistory) {
+  constexpr size_t kSites = 5;
+  constexpr size_t kCycles = 1000;
+  constexpr size_t kWindow = 50;
+  SystemConfig config;
+  config.protocol = "3PC-central";
+  config.num_sites = kSites;
+  config.seed = 11;
+  config.delay = DelayModel{100, 0};
+  config.trace = true;
+  config.trace_capacity = 4096;
+  auto system = std::move(CommitSystem::Create(config)).value();
+
+  // Every cycle: the coordinator crashes before any prepare leaves, the
+  // slaves terminate (abort), and the coordinator recovers and resolves
+  // its in-doubt transaction. Each cycle grows the coordinator's logs.
+  std::vector<std::pair<size_t, uint64_t>> per_cycle;  // (spans, events)
+  for (size_t i = 0; i < kCycles; ++i) {
+    const size_t spans_before = system->spans().spans().size();
+    const uint64_t events_before = EventsRecorded(*system->trace());
+    TransactionId txn = system->Begin();
+    const std::string tag = std::to_string(i);
+    std::vector<KvOp> ops = {KvOp{1, KvOp::Kind::kPut, "c" + tag, "x"},
+                             KvOp{2, KvOp::Kind::kPut, "s" + tag, "y"}};
+    ASSERT_TRUE(system->SubmitOps(txn, ops).ok());
+    system->injector().CrashDuringBroadcast(1, txn, msg::kPrepare, 0);
+    ASSERT_EQ(system->RunToCompletion(txn).outcome, Outcome::kAborted);
+    ASSERT_TRUE(system->participant(1).crashed()) << "cycle " << i;
+    system->injector().RecoverNow(1);
+    ASSERT_EQ(system->AwaitQuiescence(txn).decided_sites, kSites);
+    per_cycle.emplace_back(system->spans().spans().size() - spans_before,
+                           EventsRecorded(*system->trace()) - events_before);
+  }
+  EXPECT_EQ(system->participant(1).dt_log().OutcomeOf(1),
+            std::optional<Outcome>(Outcome::kAborted));
+  const std::vector<std::pair<size_t, uint64_t>> first(
+      per_cycle.begin(), per_cycle.begin() + kWindow);
+  const std::vector<std::pair<size_t, uint64_t>> last(
+      per_cycle.end() - kWindow, per_cycle.end());
+  EXPECT_EQ(first, last);
 }
 
 }  // namespace
