@@ -4,8 +4,11 @@
 // FSA" ablation from DESIGN.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/concurrency_set.h"
 #include "analysis/state_graph.h"
@@ -135,21 +138,39 @@ void BM_StateGraphBuild(benchmark::State& state,
 
 // Ablation: the spec-interpreting engine vs a hand-coded 3PC switch.
 // Both run the identical failure-free commit (same messages, same rounds).
+Outcome CommitHandCoded3pc(size_t n) {
+  Simulator sim(1);
+  Network net(&sim, DelayModel{100, 0});
+  std::vector<std::unique_ptr<HandCodedThreePhase>> nodes;
+  for (SiteId s = 1; s <= n; ++s) {
+    nodes.push_back(std::make_unique<HandCodedThreePhase>(s, n, &net));
+    HandCodedThreePhase* node = nodes.back().get();
+    (void)net.RegisterSite(s, [node](const Message& m) { node->OnMessage(m); });
+  }
+  (void)nodes[0]->Start(1);
+  sim.Run();
+  return nodes[0]->OutcomeOf(1);
+}
+
+Outcome CommitInterpreted3pc(const ProtocolSpec& spec, size_t n) {
+  Simulator sim(1);
+  Network net(&sim, DelayModel{100, 0});
+  std::vector<std::unique_ptr<ProtocolEngine>> engines;
+  for (SiteId s = 1; s <= n; ++s) {
+    engines.push_back(std::make_unique<ProtocolEngine>(s, &spec, n, &net));
+    ProtocolEngine* engine = engines.back().get();
+    (void)net.RegisterSite(
+        s, [engine](const Message& m) { engine->OnMessage(m); });
+  }
+  (void)engines[0]->StartTransaction(1);
+  sim.Run();
+  return engines[0]->OutcomeOf(1);
+}
+
 void BM_HandCoded3pc(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    Simulator sim(1);
-    Network net(&sim, DelayModel{100, 0});
-    std::vector<std::unique_ptr<HandCodedThreePhase>> nodes;
-    for (SiteId s = 1; s <= n; ++s) {
-      nodes.push_back(std::make_unique<HandCodedThreePhase>(s, n, &net));
-      HandCodedThreePhase* node = nodes.back().get();
-      (void)net.RegisterSite(
-          s, [node](const Message& m) { node->OnMessage(m); });
-    }
-    (void)nodes[0]->Start(1);
-    sim.Run();
-    benchmark::DoNotOptimize(nodes[0]->OutcomeOf(1));
+    benchmark::DoNotOptimize(CommitHandCoded3pc(n));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -158,20 +179,52 @@ void BM_InterpretedEngine3pc(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   ProtocolSpec spec = MakeThreePhaseCentral();
   for (auto _ : state) {
-    Simulator sim(1);
-    Network net(&sim, DelayModel{100, 0});
-    std::vector<std::unique_ptr<ProtocolEngine>> engines;
-    for (SiteId s = 1; s <= n; ++s) {
-      engines.push_back(std::make_unique<ProtocolEngine>(s, &spec, n, &net));
-      ProtocolEngine* engine = engines.back().get();
-      (void)net.RegisterSite(
-          s, [engine](const Message& m) { engine->OnMessage(m); });
-    }
-    (void)engines[0]->StartTransaction(1);
-    sim.Run();
-    benchmark::DoNotOptimize(engines[0]->OutcomeOf(1));
+    benchmark::DoNotOptimize(CommitInterpreted3pc(spec, n));
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+// The ablation as a snapshot row: both commits at n=16, timed in the same
+// run (alternating repetitions, median of each). Their ratio is the cost
+// of interpreting the spec; as a same-run ratio it does not depend on the
+// host, so the regression gate bounds it.
+void RunAblationRow(bench::JsonReport* report) {
+  constexpr size_t kSites = 16;
+  constexpr int kCommits = 200;
+  constexpr int kReps = 7;
+  const ProtocolSpec spec = MakeThreePhaseCentral();
+  auto us_per_commit = [](auto&& commit) {
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kCommits; ++i) benchmark::DoNotOptimize(commit());
+    std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() / kCommits;
+  };
+  std::vector<double> interpreted;
+  std::vector<double> handcoded;
+  interpreted.reserve(kReps);
+  handcoded.reserve(kReps);
+  for (int rep = 0; rep < kReps; ++rep) {
+    handcoded.push_back(
+        us_per_commit([&] { return CommitHandCoded3pc(kSites); }));
+    interpreted.push_back(
+        us_per_commit([&] { return CommitInterpreted3pc(spec, kSites); }));
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double interpreted_us = median(interpreted);
+  const double handcoded_us = median(handcoded);
+  const double ratio = interpreted_us / handcoded_us;
+  bench::Banner("Q6a", "Interpreted vs hand-coded 3PC (real time, n=16)");
+  std::printf("interpreted %.1f us, hand-coded %.1f us per commit: %.2fx\n",
+              interpreted_us, handcoded_us, ratio);
+  report->AddRow("ablation", {{"protocol", Json("3PC-central")},
+                              {"n", Json(kSites)},
+                              {"interpreted_us", Json(interpreted_us)},
+                              {"handcoded_us", Json(handcoded_us)},
+                              {"interpreted_over_handcoded", Json(ratio)}});
 }
 
 void BM_ConcurrencyAnalysis(benchmark::State& state) {
@@ -188,6 +241,7 @@ void BM_ConcurrencyAnalysis(benchmark::State& state) {
 int main(int argc, char** argv) {
   bench::JsonReport report("throughput");
   RunThroughputTable(&report);
+  RunAblationRow(&report);
   report.Write();
 
   bench::Banner("Q6b", "Engine/analysis micro-benchmarks (real time)");

@@ -1,72 +1,18 @@
 #include "analysis/conformance.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
-
-#include "protocols/protocols.h"
 
 namespace nbcp {
 
 std::optional<PredictedFiring> PredictNextFiring(
-    const ProtocolSpec& spec, size_t n, SiteId site, StateIndex state,
-    const std::map<std::pair<std::string, SiteId>, int>& inbox,
+    const CompiledRole& role, StateIndex state, std::span<const uint32_t> inbox,
     std::optional<bool> vote, bool vote_cast) {
-  const Automaton& a = spec.role(spec.RoleForSite(site, n));
-  if (IsFinal(a.state(state).kind)) return std::nullopt;
   // The engine consults the vote lazily but the preset never changes, so
-  // resolving it eagerly is equivalent (the default is yes).
+  // a constant vote is equivalent (the default is yes).
   bool v = vote.value_or(true);
-
-  for (size_t ti : a.TransitionsFrom(state)) {
-    const Transition& t = a.transitions()[ti];
-    switch (t.trigger.kind) {
-      case TriggerKind::kClientRequest: {
-        auto key = std::make_pair(std::string(msg::kRequest), kNoSite);
-        if (inbox.count(key) == 0) break;
-        if (t.votes_yes && !v) break;
-        if (t.votes_no && v) break;
-        return PredictedFiring{ti, {key}, false};
-      }
-      case TriggerKind::kOneFrom: {
-        for (SiteId sender : spec.ResolveGroup(t.trigger.group, site, n)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (inbox.count(key) == 0) continue;
-          if (t.votes_yes && !v) continue;
-          if (t.votes_no && v) continue;
-          return PredictedFiring{ti, {key}, false};
-        }
-        break;
-      }
-      case TriggerKind::kAllFrom: {
-        if (t.votes_yes && !v) break;
-        if (t.votes_no && v) break;
-        std::vector<std::pair<std::string, SiteId>> wanted;
-        bool all_present = true;
-        for (SiteId sender : spec.ResolveGroup(t.trigger.group, site, n)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (inbox.count(key) == 0) {
-            all_present = false;
-            break;
-          }
-          wanted.push_back(std::move(key));
-        }
-        if (!all_present) break;
-        return PredictedFiring{ti, std::move(wanted), false};
-      }
-      case TriggerKind::kAnyFrom: {
-        for (SiteId sender : spec.ResolveGroup(t.trigger.group, site, n)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (inbox.count(key) == 0) continue;
-          return PredictedFiring{ti, {key}, false};
-        }
-        if (t.trigger.or_self_vote_no && !vote_cast && !v) {
-          return PredictedFiring{ti, {}, /*self_vote=*/true};
-        }
-        break;
-      }
-    }
-  }
-  return std::nullopt;
+  return role.NextFiring(state, inbox, vote_cast, [v] { return v; });
 }
 
 std::string ToString(ConformanceIssueKind kind) {
@@ -112,6 +58,11 @@ ConformanceChecker::ConformanceChecker(const ProtocolSpec* spec, size_t n,
       votes_(std::move(votes)),
       mirror_(MakeInitialGlobalState(*spec, n)),
       sites_(n) {
+  roles_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    roles_.emplace_back(*spec, static_cast<SiteId>(i + 1), n);
+    sites_[i].inbox.assign(roles_[i].inbox_size(), 0);
+  }
   node_index_.reserve(graph_->num_nodes());
   for (size_t i = 0; i < graph_->num_nodes(); ++i) {
     node_index_.emplace(graph_->node(i).Key(), i);
@@ -145,17 +96,23 @@ void ConformanceChecker::OnEvent(const TraceEvent& e) {
   switch (e.type) {
     case TraceEventType::kProtocolStart: {
       if (degraded_) return;
-      sites_[e.site - 1].inbox[{std::string(msg::kRequest), kNoSite}] += 1;
+      size_t slot =
+          roles_[e.site - 1].Slot(CompiledRole::kRequestType, kNoSite);
+      sites_[e.site - 1].inbox[slot] += 1;
       return;
     }
     case TraceEventType::kMessageDelivered: {
       if (degraded_) return;
       size_t sep = e.detail.find("<-");
       if (sep == std::string::npos) return;
-      std::string type = e.detail.substr(0, sep);
+      const CompiledRole& role = roles_[e.site - 1];
+      CompiledRole::TypeId type =
+          role.Intern(std::string_view(e.detail).substr(0, sep));
       SiteId from =
           static_cast<SiteId>(std::stoul(e.detail.substr(sep + 2)));
-      sites_[e.site - 1].inbox[{std::move(type), from}] += 1;
+      // Like the engine, buffer only what some trigger could consume.
+      if (type == CompiledRole::kNoType || !role.ValidSender(from)) return;
+      sites_[e.site - 1].inbox[role.Slot(type, from)] += 1;
       return;
     }
     case TraceEventType::kMessageSent: {
@@ -227,9 +184,9 @@ void ConformanceChecker::OnStateChange(const TraceEvent& e) {
   size_t i = e.site - 1;
   SiteMirror& sm = sites_[i];
 
-  auto predicted =
-      PredictNextFiring(*spec_, n_, e.site, mirror_.local[i], sm.inbox,
-                        votes_[i], sm.vote_cast);
+  const CompiledRole& role = roles_[i];
+  auto predicted = PredictNextFiring(role, mirror_.local[i], sm.inbox,
+                                     votes_[i], sm.vote_cast);
   if (!predicted.has_value()) {
     AddDivergence(ConformanceIssueKind::kUnexplainedTransition, e,
                   "no enabled transition of the spec explains moving to '" +
@@ -237,8 +194,10 @@ void ConformanceChecker::OnStateChange(const TraceEvent& e) {
     Degrade("mirror lost");
     return;
   }
-  const Automaton& a = RoleOf(e.site);
-  const Transition& t = a.transitions()[predicted->transition];
+  const Automaton& a = role.automaton();
+  const CompiledRole::Step& step = role.step(predicted->step);
+  const Transition& t = a.transitions()[step.transition];
+  std::span<const CompiledRole::Send> sends = role.SendsOf(step);
   if (a.state(t.to).name != e.detail) {
     AddDivergence(ConformanceIssueKind::kTransitionMismatch, e,
                   "spec fires '" + t.Label() + "' into '" + a.state(t.to).name +
@@ -274,9 +233,11 @@ void ConformanceChecker::OnStateChange(const TraceEvent& e) {
   // network and produces no events) against what the network observed
   // since the last state change, as multisets.
   std::vector<std::pair<std::string, SiteId>> expected_sends;
-  for (const SendSpec& send : t.sends) {
-    for (SiteId target : spec_->ResolveGroup(send.to, e.site, n_)) {
-      if (target != e.site) expected_sends.emplace_back(send.msg_type, target);
+  for (const CompiledRole::Send& send : sends) {
+    for (SiteId target : role.Sites(send.to)) {
+      if (target != e.site) {
+        expected_sends.emplace_back(*send.type_name, target);
+      }
     }
   }
   std::vector<std::pair<std::string, SiteId>> observed = sm.observed_sends;
@@ -301,9 +262,9 @@ void ConformanceChecker::OnStateChange(const TraceEvent& e) {
   // Apply the firing to the mirror, exactly as the model's ApplyFiring:
   // consume, advance, record the vote, add every send (self included) to
   // the outstanding multiset.
-  for (const auto& [type, from] : predicted->consumed) {
-    auto ib = sm.inbox.find({type, from});
-    if (ib != sm.inbox.end() && --ib->second == 0) sm.inbox.erase(ib);
+  role.Consume(*predicted, sm.inbox);
+  const std::string& type = role.TypeName(predicted->type);
+  for (SiteId from : predicted->consumed) {
     MsgInstance inst{type, from, e.site};
     auto mit = mirror_.messages.find(inst);
     if (mit == mirror_.messages.end()) {
@@ -322,15 +283,18 @@ void ConformanceChecker::OnStateChange(const TraceEvent& e) {
     mirror_.votes[i] = t.votes_yes ? Vote::kYes : Vote::kNo;
     sm.vote_cast = true;
   }
-  for (const SendSpec& send : t.sends) {
-    for (SiteId target : spec_->ResolveGroup(send.to, e.site, n_)) {
-      ++mirror_.messages[MsgInstance{send.msg_type, e.site, target}];
-      if (target == e.site) sm.inbox[{send.msg_type, e.site}] += 1;
+  for (const CompiledRole::Send& send : sends) {
+    for (SiteId target : role.Sites(send.to)) {
+      ++mirror_.messages[MsgInstance{*send.type_name, e.site, target}];
+      if (target == e.site && send.type != CompiledRole::kNoType) {
+        sm.inbox[role.Slot(send.type, e.site)] += 1;
+      }
     }
   }
   if (IsFinal(a.state(t.to).kind) && !sm.decided) {
     sm.decided = true;
-    sm.inbox.clear();  // The engine discards buffered input on decision.
+    // The engine discards buffered input on decision.
+    std::fill(sm.inbox.begin(), sm.inbox.end(), 0);
   }
   ++firings_;
   CheckMirror(e);

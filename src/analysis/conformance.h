@@ -2,9 +2,9 @@
 #define NBCP_ANALYSIS_CONFORMANCE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,28 +15,24 @@
 #include "analysis/symmetry.h"
 #include "common/types.h"
 #include "fsa/protocol_spec.h"
+#include "protocols/compiled_role.h"
 #include "trace/trace.h"
 
 namespace nbcp {
 
 /// A transition firing predicted from the runtime engine's deterministic
-/// semantics: the transition index within the site's role automaton, the
-/// inbox keys it consumes, and whether it fires spontaneously as the site's
-/// own "no" vote.
-struct PredictedFiring {
-  size_t transition = 0;
-  std::vector<std::pair<std::string, SiteId>> consumed;
-  bool self_vote = false;
-};
+/// semantics: the transition, the inbox messages it consumes, and whether
+/// it fires spontaneously as the site's own "no" vote.
+using PredictedFiring = CompiledRole::Firing;
 
-/// Deterministic replica of ProtocolEngine::TryFireOne: given a site's local
-/// state, buffered (delivered-unconsumed) messages and a-priori vote, returns
-/// the transition the engine will fire next, or nullopt when quiescent.
-/// `vote` is the site's preset vote (the engine default is yes);
-/// `vote_cast` must reflect whether the site already emitted a vote.
+/// The firing ProtocolEngine will make next, by the enabling rule it runs
+/// (CompiledRole::NextFiring): given a site's local state, buffered
+/// (delivered-unconsumed) messages counted in `role`'s inbox layout, and
+/// a-priori vote. nullopt when quiescent. `vote` is the site's preset vote
+/// (the engine default is yes); `vote_cast` must reflect whether the site
+/// already emitted a vote.
 std::optional<PredictedFiring> PredictNextFiring(
-    const ProtocolSpec& spec, size_t n, SiteId site, StateIndex state,
-    const std::map<std::pair<std::string, SiteId>, int>& inbox,
+    const CompiledRole& role, StateIndex state, std::span<const uint32_t> inbox,
     std::optional<bool> vote, bool vote_cast);
 
 /// Why a trace failed conformance. Divergence kinds (the implementation does
@@ -126,8 +122,8 @@ class ConformanceChecker {
 
  private:
   struct SiteMirror {
-    /// Delivered-unconsumed messages, keyed like the engine inbox.
-    std::map<std::pair<std::string, SiteId>, int> inbox;
+    /// Delivered-unconsumed messages, counted like the engine inbox.
+    std::vector<uint32_t> inbox;
     bool vote_cast = false;
     bool decided = false;
     /// Observations since the last state change, reconciled at the next
@@ -148,7 +144,7 @@ class ConformanceChecker {
   void AddViolation(ConformanceIssueKind kind, SimTime at, SiteId site,
                     std::string detail);
   const Automaton& RoleOf(SiteId site) const {
-    return spec_->role(spec_->RoleForSite(site, n_));
+    return roles_[site - 1].automaton();
   }
 
   const ProtocolSpec* spec_;
@@ -156,6 +152,8 @@ class ConformanceChecker {
   const ReachableStateGraph* graph_;
   TransactionId txn_;
   std::vector<bool> votes_;
+  /// roles_[i] = site i+1's compiled role.
+  std::vector<CompiledRole> roles_;
   /// Key -> node index of the unreduced graph.
   std::unordered_map<std::string, size_t> node_index_;
 

@@ -43,47 +43,64 @@ bool ConcurrentWith(const ClockStamp& a, const ClockStamp& b) {
 }
 
 CausalClockDomain::CausalClockDomain(size_t num_sites)
-    : n_(num_sites),
-      lamport_(num_sites, 0),
-      vc_(num_sites, std::vector<uint64_t>(num_sites, 0)) {}
-
-ClockStamp CausalClockDomain::StampOf(size_t index) const {
-  return ClockStamp{lamport_[index], vc_[index]};
+    : n_(num_sites), sites_(new SiteClock[num_sites]) {
+  for (size_t i = 0; i < n_; ++i) {
+    SiteClock* clock = &sites_[i];
+    MutexLock lock(&clock->mu);
+    clock->vc.assign(n_, 0);
+  }
 }
 
 ClockStamp CausalClockDomain::OnLocal(SiteId site) {
-  if (!InRange(site)) return {};
+  SiteClock* clock = ClockOf(site);
+  if (clock == nullptr) return {};
   size_t i = site - 1;
-  MutexLock lock(&mu_);
-  ++lamport_[i];
-  ++vc_[i][i];
-  return StampOf(i);
+  MutexLock lock(&clock->mu);
+  ++clock->lamport;
+  ++clock->vc[i];
+  return ClockStamp{clock->lamport, clock->vc};
 }
 
-ClockStamp CausalClockDomain::OnDeliver(SiteId site, const ClockStamp& msg) {
-  if (!InRange(site)) return {};
-  size_t i = site - 1;
-  MutexLock lock(&mu_);
-  lamport_[i] = std::max(lamport_[i], msg.lamport) + 1;
-  std::vector<uint64_t>& mine = vc_[i];
+void CausalClockDomain::Merge(SiteClock* clock, size_t i,
+                              const ClockStamp& msg) {
+  clock->lamport = std::max(clock->lamport, msg.lamport) + 1;
+  std::vector<uint64_t>& mine = clock->vc;
   size_t common = std::min(mine.size(), msg.vc.size());
   for (size_t j = 0; j < common; ++j) {
     mine[j] = std::max(mine[j], msg.vc[j]);
   }
   ++mine[i];
-  return StampOf(i);
+}
+
+ClockStamp CausalClockDomain::OnDeliver(SiteId site, const ClockStamp& msg) {
+  SiteClock* clock = ClockOf(site);
+  if (clock == nullptr) return {};
+  MutexLock lock(&clock->mu);
+  Merge(clock, site - 1, msg);
+  return ClockStamp{clock->lamport, clock->vc};
+}
+
+void CausalClockDomain::MergeDelivery(SiteId site, const ClockStamp& msg) {
+  SiteClock* clock = ClockOf(site);
+  if (clock == nullptr) return;
+  MutexLock lock(&clock->mu);
+  Merge(clock, site - 1, msg);
 }
 
 ClockStamp CausalClockDomain::Current(SiteId site) const {
-  if (!InRange(site)) return {};
-  MutexLock lock(&mu_);
-  return StampOf(site - 1);
+  SiteClock* clock = ClockOf(site);
+  if (clock == nullptr) return {};
+  MutexLock lock(&clock->mu);
+  return ClockStamp{clock->lamport, clock->vc};
 }
 
 void CausalClockDomain::Reset() {
-  MutexLock lock(&mu_);
-  std::fill(lamport_.begin(), lamport_.end(), 0);
-  for (auto& vc : vc_) std::fill(vc.begin(), vc.end(), 0);
+  for (size_t i = 0; i < n_; ++i) {
+    SiteClock* clock = &sites_[i];
+    MutexLock lock(&clock->mu);
+    clock->lamport = 0;
+    std::fill(clock->vc.begin(), clock->vc.end(), 0);
+  }
 }
 
 }  // namespace nbcp

@@ -2,6 +2,7 @@
 #define NBCP_COMMON_CAUSAL_CLOCK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,12 @@ bool ConcurrentWith(const ClockStamp& a, const ClockStamp& b);
 
 /// Per-site Lamport + vector clocks for an n-site run, ticked by the
 /// transports (network send/deliver) and the clocks (timer firings).
-/// Transport-agnostic: all state is guarded by one mutex, so the
-/// discrete-event runtime and the threaded runtime tick the same domain —
-/// consumers only ever see ClockStamp values (returned by value, taken
-/// under the lock).
+/// Transport-agnostic: each site's clock sits behind a lock of its own, so
+/// the discrete-event runtime and the threaded runtime tick the same domain
+/// and sites never contend with each other. Only a site's own events tick
+/// its clock, so its lock is contended only by readers of Current().
+/// Consumers only ever see ClockStamp values (returned by value, taken
+/// under the site's lock).
 ///
 /// Tick rules (the classic ones):
 ///   * local event / timer / send:  lamport += 1,  vc[self] += 1;
@@ -65,32 +68,46 @@ class CausalClockDomain {
 
   /// Ticks `site` for a local event (timer firing, protocol start).
   /// Returns the post-tick stamp. No-op ({} returned) for out-of-range ids.
-  ClockStamp OnLocal(SiteId site) NBCP_EXCLUDES(mu_);
+  ClockStamp OnLocal(SiteId site);
 
   /// Ticks `site` for a message send; the returned stamp travels with the
   /// message.
   ClockStamp OnSend(SiteId site) { return OnLocal(site); }
 
   /// Merges a received message's stamp into `site`, then ticks. Unstamped
-  /// message stamps merge nothing (plain local tick).
-  ClockStamp OnDeliver(SiteId site, const ClockStamp& msg) NBCP_EXCLUDES(mu_);
+  /// message stamps merge nothing (plain local tick). Returns the
+  /// post-delivery stamp.
+  ClockStamp OnDeliver(SiteId site, const ClockStamp& msg);
+
+  /// OnDeliver for a caller that does not read the resulting stamp: the
+  /// same tick, without building (and allocating) a stamp.
+  void MergeDelivery(SiteId site, const ClockStamp& msg);
 
   /// The current stamp of `site`, without ticking.
-  ClockStamp Current(SiteId site) const NBCP_EXCLUDES(mu_);
+  ClockStamp Current(SiteId site) const;
 
   /// Back to all-zero clocks.
-  void Reset() NBCP_EXCLUDES(mu_);
+  void Reset();
 
  private:
-  bool InRange(SiteId site) const { return site >= 1 && site <= n_; }
-  ClockStamp StampOf(size_t index) const NBCP_REQUIRES(mu_);
+  /// One site's clock. Cache-line aligned so that sites ticking on
+  /// different threads do not share a line.
+  struct alignas(64) SiteClock {
+    Mutex mu;
+    uint64_t lamport NBCP_GUARDED_BY(mu) = 0;
+    std::vector<uint64_t> vc NBCP_GUARDED_BY(mu);
+  };
+
+  /// The clock of `site`, or nullptr for an out-of-range id.
+  SiteClock* ClockOf(SiteId site) const {
+    return site >= 1 && site <= n_ ? &sites_[site - 1] : nullptr;
+  }
+  /// Applies the delivery tick rule to `clock` (site index `i`).
+  static void Merge(SiteClock* clock, size_t i, const ClockStamp& msg)
+      NBCP_REQUIRES(clock->mu);
 
   size_t n_;
-  mutable Mutex mu_;
-  /// lamport_[i] = site i+1.
-  std::vector<uint64_t> lamport_ NBCP_GUARDED_BY(mu_);
-  /// vc_[i] = site i+1's vector.
-  std::vector<std::vector<uint64_t>> vc_ NBCP_GUARDED_BY(mu_);
+  std::unique_ptr<SiteClock[]> sites_;
 };
 
 }  // namespace nbcp

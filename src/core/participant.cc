@@ -456,7 +456,9 @@ void Participant::Recover() {
 
   // Rebuild database state from the WAL: committed transactions reapplied,
   // in-doubt ones re-staged prepared. A transaction re-staged although the
-  // DT log holds its outcome gets that outcome applied now.
+  // DT log holds its outcome gets that outcome applied now. One still in
+  // doubt re-takes the exclusive locks on its writes (strict two-phase
+  // locking); ApplyOutcomeToDb releases them once its outcome is known.
   auto in_doubt_kv = kv_->RecoverFromWal();
   if (!in_doubt_kv.ok()) {
     NBCP_LOG(kError) << "site " << site_
@@ -465,7 +467,17 @@ void Participant::Recover() {
   } else {
     for (TransactionId txn : *in_doubt_kv) {
       std::optional<Outcome> outcome = dt_log_.OutcomeOf(txn);
-      if (outcome.has_value()) ApplyOutcomeToDb(txn, *outcome);
+      if (outcome.has_value()) {
+        ApplyOutcomeToDb(txn, *outcome);
+        continue;
+      }
+      for (const std::string& key : kv_->WriteKeys(txn)) {
+        Status s = locks_->TryAcquire(txn, key, LockMode::kExclusive);
+        if (!s.ok()) {
+          NBCP_LOG(kError) << "site " << site_ << " txn " << txn
+                           << " re-lock failed: " << s.ToString();
+        }
+      }
     }
   }
 

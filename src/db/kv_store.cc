@@ -111,6 +111,15 @@ bool KvStore::IsPrepared(TransactionId txn) const {
   return it != active_.end() && it->second.prepared;
 }
 
+std::vector<std::string> KvStore::WriteKeys(TransactionId txn) const {
+  std::vector<std::string> keys;
+  auto it = active_.find(txn);
+  if (it == active_.end()) return keys;
+  keys.reserve(it->second.writes.size());
+  for (const auto& [key, write] : it->second.writes) keys.push_back(key);
+  return keys;
+}
+
 std::optional<std::string> KvStore::GetCommitted(
     const std::string& key) const {
   auto it = committed_.find(key);

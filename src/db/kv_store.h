@@ -64,6 +64,11 @@ class KvStore {
   /// True if `txn` is active and prepared.
   bool IsPrepared(TransactionId txn) const;
 
+  /// The keys `txn` has staged writes (or deletions) to, ascending; empty
+  /// if it is not active. After RecoverFromWal these are the keys a
+  /// re-staged transaction must hold exclusively until its outcome.
+  std::vector<std::string> WriteKeys(TransactionId txn) const;
+
   /// Committed value of `key` (outside any transaction).
   std::optional<std::string> GetCommitted(const std::string& key) const;
 

@@ -36,27 +36,33 @@ RoleIndex ProtocolSpec::RoleForSite(SiteId site, size_t n) const {
 
 std::vector<SiteId> ProtocolSpec::ResolveGroup(Group group, SiteId self,
                                                size_t n) const {
-  std::vector<SiteId> out;
+  SiteRun run = GroupRun(group, self, n);
+  std::vector<SiteId> out(run.count);
+  for (size_t i = 0; i < run.count; ++i) {
+    out[i] = run.first + static_cast<SiteId>(i);
+  }
+  return out;
+}
+
+ProtocolSpec::SiteRun ProtocolSpec::GroupRun(Group group, SiteId self,
+                                             size_t n) {
   switch (group) {
     case Group::kNone:
       break;
     case Group::kCoordinator:
-      out.push_back(1);
-      break;
+      return {1, 1};
     case Group::kSlaves:
-      for (SiteId s = 2; s <= n; ++s) out.push_back(s);
-      break;
+      return {2, n >= 2 ? n - 1 : 0};
     case Group::kAllPeers:
-      for (SiteId s = 1; s <= n; ++s) out.push_back(s);
-      break;
+      return {1, n};
     case Group::kNextPeer:
-      if (self < n) out.push_back(self + 1);
+      if (self < n) return {self + 1, 1};
       break;
     case Group::kPrevPeer:
-      if (self > 1) out.push_back(self - 1);
+      if (self > 1) return {self - 1, 1};
       break;
   }
-  return out;
+  return {};
 }
 
 Status ProtocolSpec::Validate() const {

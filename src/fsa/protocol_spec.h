@@ -57,6 +57,14 @@ class ProtocolSpec {
   /// decentralized sites send messages to themselves).
   std::vector<SiteId> ResolveGroup(Group group, SiteId self, size_t n) const;
 
+  /// ResolveGroup's sites, which always form one ascending run of ids:
+  /// first, first + 1, ..., first + count - 1.
+  struct SiteRun {
+    SiteId first = 1;
+    size_t count = 0;
+  };
+  static SiteRun GroupRun(Group group, SiteId self, size_t n);
+
   /// Validates each role automaton and the paradigm/role-count pairing.
   Status Validate() const;
 

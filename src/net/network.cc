@@ -102,7 +102,7 @@ Status Network::Send(Message msg) {
           if (observer_) observer_(msg, 'x');
           return;
         }
-        if (clocks_ != nullptr) clocks_->OnDeliver(msg.to, msg.stamp);
+        if (clocks_ != nullptr) clocks_->MergeDelivery(msg.to, msg.stamp);
         if (metrics_ != nullptr) {
           metrics_->counter("net/delivered").Inc();
           metrics_->histogram("net/delay_us")

@@ -1,16 +1,14 @@
 #include "protocols/engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/logging.h"
-#include "protocols/protocols.h"
 
 namespace nbcp {
 
 ProtocolEngine::ProtocolEngine(SiteId site, const ProtocolSpec* spec,
                                size_t n, Transport* network)
-    : site_(site), spec_(spec), n_(n), network_(network) {
+    : site_(site), spec_(spec), role_(*spec, site, n), network_(network) {
   // The same states ForceToKind picks: the first of each final kind.
   const Automaton& a = automaton();
   for (size_t s = 0; s < a.num_states(); ++s) {
@@ -73,7 +71,7 @@ Status ProtocolEngine::StartTransaction(TransactionId txn) {
   if (IsFrozen(txn)) {
     return Status::FailedPrecondition("transaction frozen by termination");
   }
-  ++ts.inbox[{msg::kRequest, kNoSite}];
+  Buffer(ts, CompiledRole::kRequestType, kNoSite);
   Pump(txn, ts);
   return Status::OK();
 }
@@ -82,8 +80,17 @@ void ProtocolEngine::OnMessage(const Message& message) {
   if (IsFrozen(message.txn)) return;  // Termination protocol has taken over.
   TxnState& ts = GetOrCreate(message.txn);
   if (ts.decided) return;  // Late messages to a finished transaction.
-  ++ts.inbox[{message.type, message.from}];
+  CompiledRole::TypeId type = role_.Intern(message.type);
+  if (type != CompiledRole::kNoType && role_.ValidSender(message.from)) {
+    Buffer(ts, type, message.from);
+  }
   Pump(message.txn, ts);
+}
+
+void ProtocolEngine::Buffer(TxnState& ts, CompiledRole::TypeId type,
+                            SiteId from) {
+  if (ts.inbox.empty()) ts.inbox.resize(role_.inbox_size());
+  ++ts.inbox[role_.Slot(type, from)];
 }
 
 bool ProtocolEngine::HasTransaction(TransactionId txn) const {
@@ -135,7 +142,7 @@ void ProtocolEngine::EnterState(TransactionId txn, TxnState& ts,
   if (hooks_.on_state_change) hooks_.on_state_change(txn, state);
   if (IsFinal(state.kind) && !ts.decided) {
     ts.decided = true;
-    ts.inbox.clear();
+    std::vector<uint32_t>().swap(ts.inbox);
     if (hooks_.on_decision) {
       hooks_.on_decision(txn, state.kind == StateKind::kCommit
                                   ? Outcome::kCommitted
@@ -144,17 +151,12 @@ void ProtocolEngine::EnterState(TransactionId txn, TxnState& ts,
   }
 }
 
-void ProtocolEngine::Fire(
-    TransactionId txn, TxnState& ts, const Transition& t,
-    const std::vector<std::pair<std::string, SiteId>>& consumed,
-    bool is_self_vote) {
-  for (const auto& key : consumed) {
-    auto it = ts.inbox.find(key);
-    assert(it != ts.inbox.end() && it->second > 0);
-    if (--it->second == 0) ts.inbox.erase(it);
-  }
+void ProtocolEngine::Fire(TransactionId txn, TxnState& ts,
+                          const CompiledRole::Firing& firing) {
+  role_.Consume(firing, ts.inbox);
+  const CompiledRole::Step& t = role_.step(firing.step);
 
-  bool casts_vote = is_self_vote || t.trigger.kind != TriggerKind::kAnyFrom;
+  bool casts_vote = firing.self_vote || t.kind != TriggerKind::kAnyFrom;
   if (casts_vote && (t.votes_yes || t.votes_no)) {
     ts.vote = t.votes_yes;
     ts.vote_cast = true;
@@ -164,21 +166,17 @@ void ProtocolEngine::Fire(
   // Emit messages. The send_filter hook may truncate the sequence,
   // simulating a crash in the middle of the (non-atomic under failures)
   // state transition.
-  size_t total = 0;
-  for (const SendSpec& send : t.sends) {
-    total += spec_->ResolveGroup(send.to, site_, n_).size();
-  }
   size_t index = 0;
   bool truncated = false;
-  for (const SendSpec& send : t.sends) {
-    for (SiteId target : spec_->ResolveGroup(send.to, site_, n_)) {
-      if (truncated) break;
+  for (const CompiledRole::Send& send : role_.SendsOf(t)) {
+    for (SiteId target : role_.Sites(send.to)) {
       Message m;
-      m.type = send.msg_type;
+      m.type = *send.type_name;
       m.from = site_;
       m.to = target;
       m.txn = txn;
-      if (hooks_.send_filter && !hooks_.send_filter(txn, m, index, total)) {
+      if (hooks_.send_filter &&
+          !hooks_.send_filter(txn, m, index, t.num_targets)) {
         truncated = true;
         break;
       }
@@ -187,7 +185,7 @@ void ProtocolEngine::Fire(
         // Self-delivery is immediate and local (the decentralized model has
         // sites send messages to themselves); bypass the network but count
         // it as buffered input.
-        ++ts.inbox[{m.type, site_}];
+        if (send.type != CompiledRole::kNoType) Buffer(ts, send.type, site_);
         continue;
       }
       Status s = network_->Send(std::move(m));
@@ -203,74 +201,11 @@ void ProtocolEngine::Fire(
 }
 
 bool ProtocolEngine::TryFireOne(TransactionId txn, TxnState& ts) {
-  const Automaton& a = automaton();
-  if (IsFinal(a.state(ts.state).kind)) return false;
-
-  for (size_t ti : a.TransitionsFrom(ts.state)) {
-    const Transition& t = a.transitions()[ti];
-    switch (t.trigger.kind) {
-      case TriggerKind::kClientRequest: {
-        auto key = std::make_pair(std::string(msg::kRequest), kNoSite);
-        if (ts.inbox.count(key) == 0) break;
-        // Vote-branch selection: a voting transition fires only if it
-        // matches this site's vote.
-        if (t.votes_yes && !VoteOf(txn, ts)) break;
-        if (t.votes_no && VoteOf(txn, ts)) break;
-        Fire(txn, ts, t, {key}, false);
-        return true;
-      }
-      case TriggerKind::kOneFrom: {
-        bool fired = false;
-        for (SiteId sender : spec_->ResolveGroup(t.trigger.group, site_, n_)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (ts.inbox.count(key) == 0) continue;
-          if (t.votes_yes && !VoteOf(txn, ts)) continue;
-          if (t.votes_no && VoteOf(txn, ts)) continue;
-          Fire(txn, ts, t, {key}, false);
-          fired = true;
-          break;
-        }
-        if (fired) return true;
-        break;
-      }
-      case TriggerKind::kAllFrom: {
-        if (t.votes_yes && !VoteOf(txn, ts)) break;
-        if (t.votes_no && VoteOf(txn, ts)) break;
-        std::vector<std::pair<std::string, SiteId>> wanted;
-        bool all_present = true;
-        for (SiteId sender : spec_->ResolveGroup(t.trigger.group, site_, n_)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (ts.inbox.count(key) == 0) {
-            all_present = false;
-            break;
-          }
-          wanted.push_back(std::move(key));
-        }
-        if (!all_present) break;
-        Fire(txn, ts, t, wanted, false);
-        return true;
-      }
-      case TriggerKind::kAnyFrom: {
-        bool fired = false;
-        for (SiteId sender : spec_->ResolveGroup(t.trigger.group, site_, n_)) {
-          auto key = std::make_pair(t.trigger.msg_type, sender);
-          if (ts.inbox.count(key) == 0) continue;
-          Fire(txn, ts, t, {key}, false);
-          fired = true;
-          break;
-        }
-        if (fired) return true;
-        // Spontaneous own-"no" firing, e.g. the coordinator's "(no_1)".
-        if (t.trigger.or_self_vote_no && !ts.vote_cast &&
-            !VoteOf(txn, ts)) {
-          Fire(txn, ts, t, {}, /*is_self_vote=*/true);
-          return true;
-        }
-        break;
-      }
-    }
-  }
-  return false;
+  std::optional<CompiledRole::Firing> firing = role_.NextFiring(
+      ts.state, ts.inbox, ts.vote_cast, [&] { return VoteOf(txn, ts); });
+  if (!firing.has_value()) return false;
+  Fire(txn, ts, *firing);
+  return true;
 }
 
 void ProtocolEngine::Pump(TransactionId txn, TxnState& ts) {

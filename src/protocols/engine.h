@@ -1,19 +1,18 @@
 #ifndef NBCP_PROTOCOLS_ENGINE_H_
 #define NBCP_PROTOCOLS_ENGINE_H_
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "fsa/protocol_spec.h"
+#include "protocols/compiled_role.h"
 #include "runtime/transport.h"
 
 namespace nbcp {
@@ -61,6 +60,12 @@ struct EngineHooks {
 /// transaction until a transition's trigger is satisfiable, then the
 /// transition fires atomically (consume messages, emit messages, change
 /// state), exactly as in the formal model.
+///
+/// The role is compiled once, at construction (CompiledRole): message
+/// types are interned to ids, groups resolved, and a transaction's buffered
+/// input is a flat count array indexed [type][from]. Firing a transition
+/// allocates nothing. A message whose type no trigger reads, or whose
+/// sender is outside 1..n, is not buffered: nothing could consume it.
 class ProtocolEngine {
  public:
   /// `spec` must outlive the engine. `n` is the site population (1..n).
@@ -74,9 +79,7 @@ class ProtocolEngine {
 
   SiteId site() const { return site_; }
   const ProtocolSpec& spec() const { return *spec_; }
-  const Automaton& automaton() const {
-    return spec_->role(spec_->RoleForSite(site_, n_));
-  }
+  const Automaton& automaton() const { return role_.automaton(); }
 
   /// Delivers the client's transaction request to this site (the virtual
   /// "__request" input). Central-site: call on the coordinator only;
@@ -132,8 +135,9 @@ class ProtocolEngine {
  private:
   struct TxnState {
     StateIndex state = kNoState;
-    /// Buffered unconsumed messages: (type, from) -> count.
-    std::map<std::pair<std::string, SiteId>, int> inbox;
+    /// Buffered unconsumed messages, counted at role_.Slot(type, from).
+    /// Allocated at the first buffered message, freed at the decision.
+    std::vector<uint32_t> inbox;
     std::optional<bool> vote;       ///< Decided vote, once consulted.
     bool vote_cast = false;         ///< Vote actually emitted/locked in.
     bool decided = false;
@@ -159,17 +163,19 @@ class ProtocolEngine {
   /// Consults (and caches) the vote for this transaction.
   bool VoteOf(TransactionId txn, TxnState& ts);
 
-  /// Executes a transition: consumes `consumed` from the inbox, performs
+  /// Executes a firing: consumes its messages from the inbox, performs
   /// sends, updates state, and invokes hooks.
-  void Fire(TransactionId txn, TxnState& ts, const Transition& t,
-            const std::vector<std::pair<std::string, SiteId>>& consumed,
-            bool is_self_vote);
+  void Fire(TransactionId txn, TxnState& ts,
+            const CompiledRole::Firing& firing);
+
+  /// Counts one buffered message of `type` from `from`.
+  void Buffer(TxnState& ts, CompiledRole::TypeId type, SiteId from);
 
   void EnterState(TransactionId txn, TxnState& ts, StateIndex next);
 
   SiteId site_;
   const ProtocolSpec* spec_;
-  size_t n_;
+  CompiledRole role_;
   Transport* network_;
   EngineHooks hooks_;
   StateIndex commit_state_ = kNoState;

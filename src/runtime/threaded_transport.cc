@@ -197,8 +197,13 @@ void ThreadedTransport::Deliver(SiteState* state, Message msg) {
     std::lock_guard<std::mutex> lock(state->m);
     handler = state->handler;
   }
+  // Only the schedule log reads the post-delivery stamp.
   ClockStamp stamp;
-  if (clocks_ != nullptr) stamp = clocks_->OnDeliver(msg.to, msg.stamp);
+  if (clocks_ != nullptr && schedule_log_ != nullptr) {
+    stamp = clocks_->OnDeliver(msg.to, msg.stamp);
+  } else if (clocks_ != nullptr) {
+    clocks_->MergeDelivery(msg.to, msg.stamp);
+  }
   if (metrics_ != nullptr) {
     metrics_->counter("net/delivered").Inc();
     // LatencyHistogram is thread-compatible, not thread-safe; workers

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/causal_clock.h"
@@ -68,6 +70,74 @@ TEST(CausalClockTest, ResetReturnsToZero) {
   clocks.Reset();
   EXPECT_EQ(clocks.Current(1).lamport, 0u);
   EXPECT_EQ(clocks.Current(2).vc, (std::vector<uint64_t>{0, 0}));
+}
+
+TEST(CausalClockTest, MergeDeliveryTicksLikeOnDeliver) {
+  CausalClockDomain merged(3);
+  CausalClockDomain delivered(3);
+  ClockStamp sent = merged.OnSend(1);
+  (void)delivered.OnSend(1);
+  merged.MergeDelivery(2, sent);
+  ClockStamp got = delivered.OnDeliver(2, sent);
+  EXPECT_EQ(merged.Current(2), got);
+  merged.MergeDelivery(0, sent);  // Out of range: no-op.
+  merged.MergeDelivery(4, sent);
+  EXPECT_EQ(merged.Current(2), got);
+}
+
+TEST(CausalClockTest, ConcurrentSitesMatchASequentialReplay) {
+  constexpr size_t kSites = 4;
+  constexpr size_t kRounds = 2000;
+  // What each site merges: stamps from another domain, fixed up front, so
+  // a site's final clock depends only on its own sequence of events.
+  CausalClockDomain source(kSites);
+  std::vector<std::vector<ClockStamp>> inbound(kSites);
+  for (size_t r = 0; r < kRounds; ++r) {
+    for (size_t i = 0; i < kSites; ++i) {
+      inbound[i].push_back(source.OnSend(static_cast<SiteId>(i + 1)));
+    }
+  }
+  auto run_site = [&](CausalClockDomain& clocks, size_t i) {
+    SiteId site = static_cast<SiteId>(i + 1);
+    for (size_t r = 0; r < kRounds; ++r) {
+      (void)clocks.OnSend(site);
+      const ClockStamp& in = inbound[(i + 1) % kSites][r];
+      if (r % 2 == 0) {
+        clocks.MergeDelivery(site, in);
+      } else {
+        (void)clocks.OnDeliver(site, in);
+      }
+    }
+  };
+
+  CausalClockDomain clocks(kSites);
+  std::atomic<bool> done{false};
+  std::atomic<bool> monotone{true};
+  std::thread reader([&] {
+    std::vector<uint64_t> last(kSites, 0);
+    while (!done.load()) {
+      for (size_t i = 0; i < kSites; ++i) {
+        uint64_t now = clocks.Current(static_cast<SiteId>(i + 1)).lamport;
+        if (now < last[i]) monotone = false;
+        last[i] = now;
+      }
+    }
+  });
+  std::vector<std::thread> sites;
+  sites.reserve(kSites);
+  for (size_t i = 0; i < kSites; ++i) {
+    sites.emplace_back([&, i] { run_site(clocks, i); });
+  }
+  for (std::thread& t : sites) t.join();
+  done = true;
+  reader.join();
+  EXPECT_TRUE(monotone.load());
+
+  CausalClockDomain replay(kSites);
+  for (size_t i = 0; i < kSites; ++i) run_site(replay, i);
+  for (SiteId site = 1; site <= kSites; ++site) {
+    EXPECT_EQ(clocks.Current(site), replay.Current(site)) << "site " << site;
+  }
 }
 
 TEST(CausalClockTest, OrderPredicates) {

@@ -150,16 +150,17 @@ TEST(PredictNextFiringTest, MatchesSpecSemantics) {
   StateIndex q1 = coord.initial_state();
   // Coordinator in q1 with the client request pending: fires the request
   // transition, broadcasting xact to the slaves.
-  std::map<std::pair<std::string, SiteId>, int> inbox;
-  inbox[{"__request", kNoSite}] = 1;
-  auto firing = PredictNextFiring(*spec, 3, 1, q1, inbox,
+  CompiledRole role(*spec, 1, 3);
+  std::vector<uint32_t> inbox(role.inbox_size());
+  inbox[role.Slot(CompiledRole::kRequestType, kNoSite)] = 1;
+  auto firing = PredictNextFiring(role, q1, inbox,
                                   /*vote=*/true, /*vote_cast=*/false);
   ASSERT_TRUE(firing.has_value());
   EXPECT_EQ(firing->consumed.size(), 1u);
   // Nothing pending: no firing for a yes-voting coordinator.
   inbox.clear();
   EXPECT_FALSE(
-      PredictNextFiring(*spec, 3, 1, q1, inbox, true, false).has_value());
+      PredictNextFiring(role, q1, inbox, true, false).has_value());
 }
 
 TEST(OrbitKeyTest, SlavePermutationsShareAnOrbit) {

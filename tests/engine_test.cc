@@ -2,6 +2,8 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "net/network.h"
 #include "protocols/engine.h"
@@ -71,6 +73,48 @@ TEST_F(EngineTest, CoordinatorSelfNoAbortsSpontaneously) {
     EXPECT_EQ(E(s).OutcomeOf(1), Outcome::kAborted) << "site " << s;
   }
   EXPECT_EQ(E(1).VoteCast(1), std::optional<bool>(false));
+}
+
+TEST_F(EngineTest, UnreadableMessagesLeaveTheTransactionAlone) {
+  ASSERT_TRUE(E(1).StartTransaction(1).ok());  // Coordinator waits in w1.
+  const LocalState before = *E(1).CurrentState(1);
+  const NetworkStats stats = net_.StatsSnapshot();
+  // Types no coordinator trigger reads, and readable types from senders
+  // outside 1..n: none can be buffered, so none can enable a transition.
+  auto message = [](std::string type, SiteId from, SiteId to,
+                    TransactionId txn) {
+    Message m;
+    m.type = std::move(type);
+    m.from = from;
+    m.to = to;
+    m.txn = txn;
+    return m;
+  };
+  auto deliver = [&](const Message& m) {
+    E(1).OnMessage(m);
+    EXPECT_EQ(E(1).CurrentState(1)->name, before.name) << m.ToString();
+    EXPECT_EQ(E(1).VoteCast(1), std::nullopt) << m.ToString();
+  };
+  deliver(message("token", 2, 1, 1));
+  deliver(message("prepar", 3, 1, 1));
+  deliver(message(msg::kYes, 0, 1, 1));
+  deliver(message(msg::kYes, 4, 1, 1));
+  deliver(message(msg::kNo, 99, 1, 1));
+  const NetworkStats after = net_.StatsSnapshot();
+  EXPECT_EQ(after.messages_sent, stats.messages_sent);
+  EXPECT_EQ(after.messages_delivered, stats.messages_delivered);
+  EXPECT_EQ(after.messages_dropped, stats.messages_dropped);
+  // A slave that has not heard of a transaction ignores them just as well.
+  E(2).OnMessage(message("token", 1, 2, 2));
+  E(2).OnMessage(message(msg::kXact, 4, 2, 2));
+  EXPECT_EQ(E(2).CurrentKind(2), StateKind::kInitial);
+  EXPECT_EQ(E(2).VoteCast(2), std::nullopt);
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, stats.messages_sent);
+  // The real votes still complete the transaction.
+  sim_.Run();
+  for (SiteId s = 1; s <= 3; ++s) {
+    EXPECT_EQ(E(s).OutcomeOf(1), Outcome::kCommitted) << "site " << s;
+  }
 }
 
 TEST_F(EngineTest, StateProgressionIsObservable) {

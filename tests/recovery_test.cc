@@ -285,5 +285,49 @@ TEST(RecoveryCostTest, PerCycleWorkDoesNotGrowWithHistory) {
   EXPECT_EQ(first, last);
 }
 
+// --- Recovery and concurrency control -----------------------------------
+
+TEST(RecoveryLockTest, InDoubtWritesStayLockedUntilTheOutcome) {
+  SystemConfig config;
+  config.protocol = "2PC-central";
+  config.num_sites = 3;
+  config.seed = 3;
+  auto system = std::move(CommitSystem::Create(config)).value();
+  auto write_k_at_2 = [](const std::string& value) {
+    return std::vector<KvOp>{KvOp{2, KvOp::Kind::kPut, "k", value}};
+  };
+  // Site 2 stages a write to "k" and votes yes. The coordinator decides
+  // commit but crashes before any commit message leaves: site 2 is in
+  // doubt.
+  TransactionId in_doubt = system->Begin();
+  ASSERT_TRUE(system->SubmitOps(in_doubt, write_k_at_2("v1")).ok());
+  system->injector().CrashDuringBroadcast(1, in_doubt, msg::kCommit, 0);
+  ASSERT_TRUE(system->RunToCompletion(in_doubt).blocked);
+
+  // Site 2 crashes and recovers while the transaction is still in doubt.
+  system->injector().CrashNow(2);
+  system->injector().RecoverNow(2);
+  system->simulator().Run();
+  ASSERT_EQ(system->participant(2).OutcomeOf(in_doubt), Outcome::kUndecided);
+
+  // The recovered site still holds the in-doubt write lock: a new writer
+  // of the same key meets a lock conflict (and will vote no).
+  TransactionId conflicting = system->Begin();
+  EXPECT_TRUE(system->SubmitOps(conflicting, write_k_at_2("v2")).IsAborted());
+
+  // The coordinator recovers with its logged commit; site 2 applies the
+  // outcome and releases the lock, so the same write now succeeds.
+  system->injector().RecoverNow(1);
+  system->simulator().Run();
+  ASSERT_EQ(system->participant(2).OutcomeOf(in_doubt), Outcome::kCommitted);
+  EXPECT_EQ(system->participant(2).kv().GetCommitted("k"),
+            std::optional<std::string>("v1"));
+  TransactionId later = system->Begin();
+  ASSERT_TRUE(system->SubmitOps(later, write_k_at_2("v3")).ok());
+  EXPECT_EQ(system->RunToCompletion(later).outcome, Outcome::kCommitted);
+  EXPECT_EQ(system->participant(2).kv().GetCommitted("k"),
+            std::optional<std::string>("v3"));
+}
+
 }  // namespace
 }  // namespace nbcp
