@@ -24,13 +24,6 @@ Result<std::unique_ptr<CommitSystem>> CommitSystem::CreateWithSpec(
   }
 
   const bool threaded = config.backend == SystemConfig::Backend::kThreaded;
-  if (threaded && (config.observe || config.blocking) &&
-      config.trace_capacity != 0) {
-    return Status::InvalidArgument(
-        "threaded observe/blocking need an unbounded trace buffer "
-        "(trace_capacity = 0): events are replayed to the observer "
-        "after quiescence");
-  }
 
   auto system = std::unique_ptr<CommitSystem>(new CommitSystem());
   system->config_ = config;
@@ -96,27 +89,16 @@ Result<std::unique_ptr<CommitSystem>> CommitSystem::CreateWithSpec(
     if (!attached.ok()) return attached;
   }
 
-  if (threaded && (config.trace || config.observe || config.blocking ||
-                   config.record_schedule)) {
-    // A trace consumer is attached: run the workers in serialized-
-    // observation mode so every triggering event and the transition it
-    // causes form one atomic block in the recorded stream (the
-    // event-at-a-time semantics cut-based checks assume). Without a
-    // consumer the workers run fully in parallel.
-    system->runtime_->transport().set_serialized(true);
-  }
-
   if (config.trace || config.observe || config.blocking) {
     system->trace_ = std::make_unique<TraceRecorder>(config.trace_capacity);
     TraceRecorder* recorder = system->trace_.get();
     recorder->set_clocks(system->clocks_.get());
     // With observe-only (no trace), the recorder is a pure event bus: it
     // stores nothing and just feeds the observer sink.
-    // On the threaded backend the observer/blocking monitor are fed from
-    // the stored events after quiescence, so storage must be on even in
-    // observe-only mode.
-    recorder->set_store(config.trace ||
-                        (threaded && (config.observe || config.blocking)));
+    recorder->set_store(config.trace);
+    // The threaded workers record into per-site buffers, merged in causal
+    // order and fed to the sink at each quiescence point.
+    if (threaded) recorder->BufferPerSite(config.num_sites);
     Clock* clock = system->clock_;
     for (auto& participant : system->participants_) {
       participant->set_trace(recorder);
@@ -171,14 +153,10 @@ Result<std::unique_ptr<CommitSystem>> CommitSystem::CreateWithSpec(
     system->blocking_->set_metrics(&system->registry_);
   }
 
-  if (!threaded &&
-      (system->observer_ != nullptr || system->blocking_ != nullptr)) {
+  if (system->observer_ != nullptr || system->blocking_ != nullptr) {
     // Shared event bus: the observer consumes each event first so the
-    // monitor's cross-checks see up-to-date global state. Threaded runs
-    // skip the live sink — TraceRecorder invokes sinks outside its lock,
-    // so concurrent site threads would feed the (unlocked) observer out of
-    // order; instead AwaitQuiescence replays the stored events on the
-    // driver thread (FeedDeferredEvents).
+    // monitor's cross-checks see up-to-date global state. On the threaded
+    // backend the sink runs on the driver thread, at AwaitQuiescence.
     system->trace_->set_sink(
         [obs = system->observer_.get(),
          blocking = system->blocking_.get()](const TraceEvent& e) {
@@ -274,22 +252,6 @@ Status CommitSystem::Launch(TransactionId txn) {
   return overall;
 }
 
-void CommitSystem::FeedDeferredEvents() {
-  if (trace_ == nullptr || !trace_->store()) return;
-  if (observer_ == nullptr && blocking_ == nullptr) return;
-  // Index-based loop: the observer appends its own timeline events to the
-  // same store while we iterate, and those must be fed to the blocking
-  // monitor too. The observer ignores the kinds it emits, so this
-  // terminates.
-  while (true) {
-    size_t size = trace_->events().size();
-    if (fed_events_ >= size) break;
-    const TraceEvent e = trace_->events()[fed_events_++];
-    if (observer_ != nullptr) observer_->OnEvent(e);
-    if (blocking_ != nullptr) blocking_->OnEvent(e);
-  }
-}
-
 TxnResult CommitSystem::Summarize(TransactionId txn) const {
   TxnResult result;
   result.txn = txn;
@@ -347,10 +309,10 @@ TxnResult CommitSystem::AwaitQuiescence(TransactionId txn) {
       NBCP_LOG(kWarn) << "threaded runtime did not quiesce within "
                       << config_.quiesce_timeout_ms << "ms";
     }
-    // Site threads are idle now; replay the stored trace to the observer
-    // and blocking monitor on this (the driver) thread. Store order is a
-    // valid linearization of the causal order.
-    FeedDeferredEvents();
+    // Site threads are idle now: merge their trace buffers in causal order
+    // and feed the observer and blocking monitor on this (the driver)
+    // thread.
+    if (trace_ != nullptr) trace_->FlushBuffers();
   } else {
     size_t executed = sim_->Run(config_.max_events_per_run);
     if (executed >= config_.max_events_per_run) {

@@ -213,8 +213,9 @@ class CommitSystem {
 
   /// Sim backend: runs the simulator until the event queue drains (or the
   /// event cap is hit). Threaded backend: blocks until the runtime owes no
-  /// work (empty inboxes, idle handlers, no pending timers), then feeds
-  /// the recorded events to the observer/blocking monitor. Then summarizes
+  /// work (empty inboxes, idle handlers, no pending timers), then merges
+  /// the sites' trace buffers in causal order and feeds them to the
+  /// observer/blocking monitor (TraceRecorder::FlushBuffers). Then summarizes
   /// `txn`; the result is also recorded in metrics().
   TxnResult AwaitQuiescence(TransactionId txn);
 
@@ -226,12 +227,6 @@ class CommitSystem {
 
  private:
   CommitSystem() = default;
-
-  /// Threaded backend: replays stored trace events (from fed_events_ on)
-  /// through the observer/blocking sink chain on the driver thread. The
-  /// store order is a valid causal linearization — a send is stored before
-  /// the delivery it caused — so the observer sees a consistent history.
-  void FeedDeferredEvents();
 
   SystemConfig config_;
   std::unique_ptr<Simulator> sim_;              ///< Sim backend only.
@@ -253,7 +248,6 @@ class CommitSystem {
   MetricsRegistry registry_;
   SpanCollector spans_;
   uint64_t log_time_token_ = 0;
-  size_t fed_events_ = 0;  ///< FeedDeferredEvents progress cursor.
 
   TransactionId next_txn_ = 1;
   struct LaunchInfo {

@@ -130,6 +130,19 @@ void BullyElection::OnMessage(const Message& message) {
                         ? message.from
                         : static_cast<SiteId>(std::stoul(message.payload));
     Round& round = rounds_[tag];
+    if (leader < self_) {
+      // The bully rule: no lower site leads while this one is up (and it
+      // is, since it is handling messages). A stale announcement, e.g.
+      // from a candidate that timed out before our own won, is contested,
+      // not accepted.
+      if (round.done) {
+        // Tell the claimant who won instead, as for a late challenge.
+        Send(message.from, kLeader, tag, std::to_string(round.leader));
+      } else if (!round.running) {
+        StartElection(tag);
+      }
+      return;
+    }
     if (round.done && round.leader == leader) return;
     round.done = false;  // Accept the (possibly newer) announcement.
     FinishRound(tag, leader);

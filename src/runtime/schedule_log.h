@@ -1,6 +1,7 @@
 #ifndef NBCP_RUNTIME_SCHEDULE_LOG_H_
 #define NBCP_RUNTIME_SCHEDULE_LOG_H_
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -26,11 +27,9 @@ struct ScheduleRecord {
 };
 
 /// Append-only, mutex-guarded log of the scheduling choices a threaded run
-/// actually made. Per-site workers append deliveries as they pop them (in
-/// handler order), the driver appends starts; the append order is a causal
-/// linearization of the run — a send is always stored before the delivery
-/// it caused — so replaying the log through nbcp-explore reproduces the
-/// execution on the virtual-time backend.
+/// actually made. Per-site workers append deliveries as they pop them, in
+/// parallel, and the start of a protocol is appended from inside the task
+/// that starts it; so the append order need not be causal.
 class ScheduleLog {
  public:
   void Append(ScheduleRecord record) {
@@ -38,9 +37,26 @@ class ScheduleLog {
     records_.push_back(std::move(record));
   }
 
+  /// The records stably ordered by (Lamport value, site): a causal
+  /// linearization of the run. A delivery's post-merge stamp exceeds its
+  /// send's, and the send's exceeds the stamp of the start or delivery
+  /// that caused it, so every cause sorts before its effect — and
+  /// replaying the result through nbcp-explore reproduces the execution
+  /// on the virtual-time backend.
   std::vector<ScheduleRecord> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_;
+    std::vector<ScheduleRecord> records;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      records = records_;
+    }
+    std::stable_sort(records.begin(), records.end(),
+                     [](const ScheduleRecord& a, const ScheduleRecord& b) {
+                       if (a.stamp.lamport != b.stamp.lamport) {
+                         return a.stamp.lamport < b.stamp.lamport;
+                       }
+                       return a.site < b.site;
+                     });
+    return records;
   }
 
   size_t size() const {

@@ -142,22 +142,15 @@ void ThreadedTransport::WorkerLoop(SiteState* state) {
           lock, [&] { return state->stop || !state->inbox.empty(); });
       if (state->stop) break;  // Leftovers are balanced by Shutdown.
       // Drain eagerly: the whole inbox frees in one go, so a sender
-      // blocked on backpressure can always make progress even while this
-      // worker waits its turn on the serialization lock below.
+      // blocked on backpressure resumes while this worker runs the batch.
       local.swap(state->inbox);
       state->not_full.notify_all();
     }
     for (Item& item : local) {
-      {
-        std::unique_lock<std::mutex> exec;
-        if (serialize_.load(std::memory_order_acquire)) {
-          exec = std::unique_lock<std::mutex>(exec_mu_);
-        }
-        if (item.is_task) {
-          item.task();
-        } else {
-          Deliver(state, std::move(item.msg));
-        }
+      if (item.is_task) {
+        item.task();
+      } else {
+        Deliver(state, std::move(item.msg));
       }
       if (inflight_ != nullptr) inflight_->Done();
     }

@@ -1,7 +1,6 @@
 #ifndef NBCP_RUNTIME_THREADED_TRANSPORT_H_
 #define NBCP_RUNTIME_THREADED_TRANSPORT_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -48,7 +47,10 @@ namespace nbcp {
 /// messages and dispatched timers arrive through the inbox, and the
 /// driver reaches per-site state via PostSync. Tasks run even while the
 /// site is marked down; being "down" silences the protocol (messages are
-/// dropped), not the machinery around it.
+/// dropped), not the machinery around it. Workers always run in parallel,
+/// also with trace consumers attached: each site's events form blocks in
+/// that site's own trace buffer (see TraceRecorder::BufferPerSite), and
+/// the schedule log is put in causal order when read.
 class ThreadedTransport : public Transport {
  public:
   struct Options {
@@ -96,18 +98,6 @@ class ThreadedTransport : public Transport {
   /// Setup-time wiring: queued items and running handlers count here.
   void set_inflight(InflightCounter* inflight) { inflight_ = inflight; }
 
-  /// Serialized-observation mode: workers take one global lock around each
-  /// item they process, so every triggering event (delivery, timer, task)
-  /// and the trace records of the transition it causes form one atomic
-  /// block in any attached TraceRecorder/ScheduleLog — the same
-  /// event-at-a-time semantics the simulator has, which cut-based checks
-  /// (the global-state observer, conformance) rely on. CommitSystem turns
-  /// this on whenever a trace consumer is attached; without one the
-  /// workers run fully in parallel.
-  void set_serialized(bool on) {
-    serialize_.store(on, std::memory_order_release);
-  }
-
   /// Setup-time wiring: deliveries are appended here with causal stamps
   /// (nullptr disables; see ScheduleLog).
   void set_schedule_log(ScheduleLog* log) { schedule_log_ = log; }
@@ -153,10 +143,6 @@ class ThreadedTransport : public Transport {
 
   Clock* clock_;
   const size_t inbox_capacity_;
-
-  /// Serialized-observation mode (see set_serialized).
-  std::atomic<bool> serialize_{false};
-  std::mutex exec_mu_;
 
   /// Serializes net/delay_us histogram recording (see Deliver).
   std::mutex metrics_mu_;

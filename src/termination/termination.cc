@@ -393,6 +393,11 @@ bool TerminationProtocol::IsBlocked(TransactionId txn) const {
   return it != sessions_.end() && it->second.phase == Phase::kBlocked;
 }
 
+SiteId TerminationProtocol::Backup(TransactionId txn) const {
+  auto it = sessions_.find(txn);
+  return it == sessions_.end() ? kNoSite : it->second.backup;
+}
+
 void TerminationProtocol::Clear() { sessions_.clear(); }
 
 }  // namespace nbcp

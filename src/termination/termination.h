@@ -119,6 +119,10 @@ class TerminationProtocol {
   /// True when termination concluded `txn` is blocked at this site.
   bool IsBlocked(TransactionId txn) const;
 
+  /// The backup coordinator this site elected (or became) for `txn`;
+  /// kNoSite when no session has one.
+  SiteId Backup(TransactionId txn) const;
+
   /// Drops all session state (site crash).
   void Clear();
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,13 +68,19 @@ struct TraceEvent {
 /// benchmarks should leave it off, or cap memory with a ring-buffer
 /// capacity (SystemConfig::trace_capacity) for soak/throughput runs.
 ///
-/// Thread safety: the event ring (events_, dropped_, capacity_) is guarded
-/// by mu_, so concurrent sites may Record. The sink is invoked *after* the
-/// lock is released — a sink may itself Record (observer chains) without
-/// deadlocking, and sink order equals store order per recording thread.
-/// set_clocks/set_sink/set_store are setup-time wiring; events() is a
-/// by-reference view for the single-threaded export paths, valid only while
-/// nothing is recording.
+/// Two recording paths:
+///   * Direct (the default; the simulator): Record stores the event under
+///     mu_, then invokes the sink with the lock released — a sink may
+///     itself Record (observer chains) without deadlocking.
+///   * Per-site buffers (BufferPerSite; the threaded backend): Record
+///     appends to the recording site's own buffer under that buffer's own
+///     lock, so workers never contend with each other. FlushBuffers, at a
+///     quiescence point, merges the buffers into one causal linearization
+///     (MergeSiteBuffers), feeds it to the sink and stores it.
+///
+/// set_clocks/set_sink/set_store/BufferPerSite are setup-time wiring;
+/// events() is a by-reference view for the single-threaded export paths,
+/// valid only while nothing is recording.
 class TraceRecorder {
  public:
   /// `capacity` = maximum retained events; 0 = unbounded (the default).
@@ -91,7 +98,8 @@ class TraceRecorder {
   /// samples, so stamping works identically under any transport.
   void set_clocks(const CausalClockDomain* clocks) { clocks_ = clocks; }
 
-  /// Live tap: invoked for every recorded event, after it is stored. The
+  /// Tap invoked for every recorded event, after it is stored: live on the
+  /// direct path, at FlushBuffers with per-site buffers. The
   /// GlobalStateObserver subscribes here; events the sink itself records
   /// re-enter Record (and the sink) — sinks must ignore their own kinds.
   void set_sink(std::function<void(const TraceEvent&)> sink) {
@@ -103,6 +111,19 @@ class TraceRecorder {
   /// mode; benchmarks and long soaks).
   void set_store(bool store) { store_ = store; }
   bool store() const { return store_; }
+
+  /// Switches to per-site buffers for sites 1..num_sites (the threaded
+  /// backend, one worker per site). Events of other sites (kNoSite: link
+  /// cut and restore) share one buffer in recording order. Nothing reaches
+  /// the store or the sink until FlushBuffers.
+  void BufferPerSite(size_t num_sites);
+
+  /// Per-site buffers only; call at a quiescence point, from one thread at
+  /// a time. Merges the buffers (MergeSiteBuffers), feeds the batch to the
+  /// sink by reference and then stores it (when storing is on). Events the
+  /// sink records meanwhile (observer timeline and violations) are fed and
+  /// stored after the batch, in recording order.
+  void FlushBuffers();
 
   const std::deque<TraceEvent>& events() const NBCP_QUIESCENT_READ {
     return events_;
@@ -141,6 +162,15 @@ class TraceRecorder {
                TransactionId txn = kNoTransaction) const;
 
  private:
+  /// One site's events since the last flush. Aligned so that workers
+  /// appending to neighbouring buffers do not share a cache line.
+  struct alignas(64) SiteBuffer {
+    Mutex mu;
+    std::vector<TraceEvent> events NBCP_GUARDED_BY(mu);
+  };
+
+  void Store(TraceEvent event) NBCP_REQUIRES(mu_);
+
   mutable Mutex mu_;
   std::deque<TraceEvent> events_ NBCP_GUARDED_BY(mu_);
   size_t capacity_ NBCP_GUARDED_BY(mu_) = 0;
@@ -150,7 +180,36 @@ class TraceRecorder {
   const CausalClockDomain* clocks_ = nullptr;
   bool store_ = true;
   std::function<void(const TraceEvent&)> sink_;
+
+  /// Per-site buffers: [0] = events of no site, [s] = site s. Empty on the
+  /// direct path.
+  std::vector<std::unique_ptr<SiteBuffer>> buffers_;
+  // Used only by the flushing thread: the emptied buffers swapped in at the
+  // next flush (keeping their capacity), and the events recorded by the
+  // sink during a flush.
+  std::vector<std::vector<TraceEvent>> flushed_;
+  std::vector<TraceEvent> spill_;
 };
+
+/// Merges one batch of per-site buffers into a linearization of the run:
+/// `buffers[0]` holds the events of no site in recording order, and
+/// `buffers[s]` site s's events in its own order.
+///
+/// A block opens at each delivery, drop or protocol start of a site; every
+/// other event joins its site's open block (no message reaches the site in
+/// between). The events of no site come first. Then the head block of some
+/// site is emitted, repeatedly: a head is ready unless it opens with a
+/// delivery or drop whose send (matched by seq) is in this batch and not
+/// emitted yet, and among the ready heads the lowest Lamport value of the
+/// opening event wins, then the lowest site. The result keeps every site's
+/// order, keeps blocks whole and puts every send before its delivery or
+/// drop. Lamport order alone would not: a drop at a crashed receiver
+/// carries the receiver's unmerged stamp, which can be below its send's.
+///
+/// Events are moved out of `*buffers`; the vectors are left for the caller
+/// to clear.
+std::vector<TraceEvent> MergeSiteBuffers(
+    std::vector<std::vector<TraceEvent>>* buffers);
 
 }  // namespace nbcp
 

@@ -144,6 +144,42 @@ TEST_F(BullyTest, ResetAllowsReelection) {
   EXPECT_EQ(h_.LeaderSeenBy(1, 7), std::optional<SiteId>(3));
 }
 
+TEST_F(BullyTest, StaleLowerAnnouncementDoesNotSplitTheLeadership) {
+  // Site 3's challenge to site 4 is lost, so it times out at t=2000 and
+  // declares itself. Site 4 starts its own round at t=2050 and, as the
+  // highest site, declares at once. Site 3's announcement then reaches
+  // site 4, which must contest it rather than accept a lower leader.
+  net_.CutLink(3, 4);
+  h_.at(3).StartElection(7);
+  sim_.ScheduleAt(1990, [&] { net_.RestoreLink(3, 4); });
+  sim_.ScheduleAt(2050, [&] { h_.at(4).StartElection(7); });
+  sim_.Run();
+  for (SiteId s = 1; s <= 4; ++s) {
+    EXPECT_EQ(h_.LeaderSeenBy(s, 7), std::optional<SiteId>(4)) << "site " << s;
+  }
+}
+
+TEST_F(BullyTest, LowerAnnouncementStartsAnIdleSitesElection) {
+  // A site with no round of its own that hears a lower site claim the
+  // lead runs its election, and the highest site ends up leading.
+  net_.SetSiteDown(4);
+  h_.at(3).StartElection(7);
+  sim_.Run();
+  ASSERT_EQ(h_.LeaderSeenBy(1, 7), std::optional<SiteId>(3));
+  net_.SetSiteUp(4);
+  Message stale;
+  stale.type = "bully:leader";
+  stale.from = 3;
+  stale.to = 4;
+  stale.txn = 7;
+  stale.payload = "3";
+  ASSERT_TRUE(net_.Send(stale).ok());
+  sim_.Run();
+  for (SiteId s = 1; s <= 4; ++s) {
+    EXPECT_EQ(h_.LeaderSeenBy(s, 7), std::optional<SiteId>(4)) << "site " << s;
+  }
+}
+
 TEST_F(BullyTest, OwnsMessageFiltersPrefixes) {
   EXPECT_TRUE(BullyElection::OwnsMessage("bully:election"));
   EXPECT_FALSE(BullyElection::OwnsMessage("ring:token"));

@@ -12,9 +12,13 @@
 //   NBCP_STRESS_ROUNDS  crash rounds per protocol           (default 8)
 //   NBCP_STRESS_SITES   sites per system                    (default 4)
 //
-// Exit code 0 on success, 1 on the first violated property.
+// Exit code 0 on success, 1 on the first violated property. A failed crash
+// round prints each site's outcome, termination start time and elected
+// backup; an observed one also writes its merged trace to
+// stress_<protocol>_<round>.trace.jsonl in the working directory.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,7 @@ std::unique_ptr<CommitSystem> Make(const std::string& protocol, size_t n,
   config.seed = seed;
   config.backend = SystemConfig::Backend::kThreaded;
   config.observe = observe;
+  config.trace = observe;  // Kept for the failure report.
   // Crashes below are anchored to broadcast traps, so detection must not
   // outrun the driver's sequential wall-clock launches (see runtime_test).
   config.detection_delay = 5000;
@@ -125,6 +130,32 @@ void StressMixedVotes(const std::string& protocol, size_t n, int batch,
   }
 }
 
+// What each site made of a failed crash round, read in the site's own
+// worker context.
+void ReportRound(CommitSystem& system, TransactionId txn,
+                 const std::string& protocol, int round) {
+  for (SiteId site = 1; site <= system.num_sites(); ++site) {
+    std::string line;
+    system.transport().PostSync(site, [&system, &line, site, txn] {
+      Participant& p = system.participant(site);
+      std::optional<SimTime> term = p.TerminationStartTime(txn);
+      line = "site " + std::to_string(site) + ": " +
+             ToString(p.OutcomeOf(txn)) + ", termination start " +
+             (term.has_value() ? std::to_string(*term) + "us" : "-") +
+             ", backup " +
+             (p.crashed() ? "- (crashed)"
+                          : std::to_string(p.termination().Backup(txn)));
+    });
+    std::fprintf(stderr, "    %s\n", line.c_str());
+  }
+  if (system.trace() == nullptr) return;
+  const std::string path =
+      "stress_" + protocol + "_" + std::to_string(round) + ".trace.jsonl";
+  Status written = system.ExportTraceJsonl(path);
+  std::fprintf(stderr, "    trace: %s\n",
+               written.ok() ? path.c_str() : written.ToString().c_str());
+}
+
 // Mid-broadcast crash rounds: the per-protocol scenario from the parity
 // suite, repeated across seeds. The property checked is the paper's:
 // whatever the surviving sites decide, they decide it unanimously.
@@ -147,8 +178,8 @@ void StressCrashRounds(const std::string& protocol, size_t n, int rounds,
     scenario = {msg::kYes, true, true, 0};
   }
   for (int round = 0; round < rounds; ++round) {
-    // Alternate the observer on and off so both the parallel and the
-    // serialized-observation worker paths see crash traffic.
+    // Alternate the observer on and off so crash traffic runs both with
+    // and without the per-site trace buffers and their merge.
     const bool observe = (round % 2) == 1;
     auto system = Make(protocol, n, seed_base + static_cast<uint64_t>(round),
                        observe);
@@ -160,6 +191,7 @@ void StressCrashRounds(const std::string& protocol, size_t n, int rounds,
     system->injector().CrashDuringBroadcast(site, txn, scenario.msg_type,
                                             allow);
     TxnResult result = system->RunToCompletion(txn);
+    const int failures_before = g_failures;
     STRESS_CHECK(result.consistent, "%s: crash round %d inconsistent",
                  protocol.c_str(), round);
     // Two-phase protocols may block here — L2PC's coordinator dies before
@@ -174,6 +206,9 @@ void StressCrashRounds(const std::string& protocol, size_t n, int rounds,
       STRESS_CHECK(system->observer()->stats().violations == 0,
                    "%s: crash round %d observer violations", protocol.c_str(),
                    round);
+    }
+    if (g_failures != failures_before) {
+      ReportRound(*system, txn, protocol, round);
     }
   }
 }
