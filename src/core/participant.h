@@ -108,7 +108,9 @@ class Participant {
   LockManager& locks() { return *locks_; }
   DtLog& dt_log() { return dt_log_; }
   WriteAheadLog& wal() { return wal_; }
-  TerminationProtocol& termination() { return *termination_; }
+  /// The site's termination protocol: volatile state, so null while the
+  /// site is crashed.
+  TerminationProtocol* termination() { return termination_.get(); }
 
   // --- failure lifecycle (driven by the FailureInjector) -----------------
 

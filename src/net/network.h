@@ -1,22 +1,15 @@
 #ifndef NBCP_NET_NETWORK_H_
 #define NBCP_NET_NETWORK_H_
 
-#include <cstdint>
 #include <functional>
-#include <set>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "net/message.h"
 #include "runtime/clock.h"
-#include "runtime/transport.h"
+#include "runtime/site_transport.h"
 
 namespace nbcp {
-
-class MetricsRegistry;
 
 /// Per-channel delivery delay model.
 struct DelayModel {
@@ -34,57 +27,22 @@ struct DelayModel {
 /// Partition support (CutLink) exists for extension studies only; the
 /// reproduction experiments never cut links, per the paper's assumptions.
 ///
-/// This is the virtual-time implementation of the Transport seam: delivery
-/// is an event scheduled on the Clock after a sampled channel delay, and
-/// Post/PostSync run inline because the single sim thread IS every site's
-/// execution context.
+/// This is the virtual-time implementation of the Transport seam. The
+/// fault model is SiteTransport's; this class adds only the scheduling:
+/// delivery is an event on the Clock after a channel delay sampled from
+/// the delay model fixed at construction, and Post/PostSync run inline
+/// because the single sim thread IS every site's execution context.
 ///
-/// Thread safety: site registry, link cuts, traffic counters, the send
-/// sequence and the delay model are guarded by mu_, so concurrent senders
-/// and delivery threads are safe. Delivery handlers and the traffic/link
-/// observers are invoked with no lock held (a handler may Send). The
-/// wiring setters (set_observer, set_link_observer, set_metrics,
-/// set_clocks) are setup-time only: call them before traffic starts.
-class Network : public Transport {
+/// Thread safety: as SiteTransport's. The delay model is immutable, and
+/// the delay is drawn from the Clock's rng, which only the sim thread
+/// uses.
+class Network : public SiteTransport {
  public:
   explicit Network(Clock* clock, DelayModel delay = DelayModel{})
-      : clock_sim_(clock), delay_(delay) {}
-
-  Network(const Network&) = delete;
-  Network& operator=(const Network&) = delete;
-
-  Status RegisterSite(SiteId site, Handler handler) override;
+      : SiteTransport(clock), delay_(delay) {}
 
   /// Sends `msg`; delivery is scheduled after the channel delay.
   Status Send(Message msg) override;
-
-  void SetSiteDown(SiteId site) override;
-  void SetSiteUp(SiteId site) override;
-  bool IsSiteUp(SiteId site) const override;
-  void CutLink(SiteId a, SiteId b) override;
-  void RestoreLink(SiteId a, SiteId b) override;
-
-  void set_link_observer(LinkObserver observer) override {
-    link_observer_ = std::move(observer);
-  }
-
-  std::vector<SiteId> Sites() const override;
-  std::vector<SiteId> OperationalSites() const override;
-
-  /// By-value snapshot of the traffic counters, safe under concurrency.
-  NetworkStats StatsSnapshot() const override NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
-
-  /// By-reference counters for the single-threaded export paths; valid only
-  /// while no other thread is sending or delivering.
-  const NetworkStats& stats() const NBCP_QUIESCENT_READ { return stats_; }
-
-  void ResetStats() override NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_ = NetworkStats{};
-  }
 
   /// Inline: the sim thread is every site's execution context.
   void Post(SiteId site, std::function<void()> fn) override {
@@ -96,52 +54,11 @@ class Network : public Transport {
     fn();
   }
 
-  void set_observer(Observer observer) override {
-    observer_ = std::move(observer);
-  }
-
-  void set_metrics(MetricsRegistry* metrics) override { metrics_ = metrics; }
-
-  void set_clocks(CausalClockDomain* clocks) override { clocks_ = clocks; }
-
-  Clock* clock() { return clock_sim_; }
-
-  DelayModel delay_model() const NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return delay_;
-  }
-
-  /// Swaps the delay model. Guarded like the counters: tests retune delays
-  /// between runs, and nothing stops a threaded driver from doing so while
-  /// deliveries are being scheduled.
-  void set_delay_model(DelayModel delay) NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    delay_ = delay;
-  }
-
  private:
-  struct SiteInfo {
-    Handler handler;
-    bool up = true;
-  };
-
   /// Samples the delivery delay for one message.
-  SimTime SampleDelay() NBCP_EXCLUDES(mu_);
+  SimTime SampleDelay();
 
-  Clock* clock_sim_;
-
-  mutable Mutex mu_;
-  DelayModel delay_ NBCP_GUARDED_BY(mu_);
-  std::unordered_map<SiteId, SiteInfo> sites_ NBCP_GUARDED_BY(mu_);
-  std::set<std::pair<SiteId, SiteId>> cut_links_ NBCP_GUARDED_BY(mu_);
-  NetworkStats stats_ NBCP_GUARDED_BY(mu_);
-  uint64_t next_seq_ NBCP_GUARDED_BY(mu_) = 0;
-
-  // Setup-time wiring; unguarded (see class comment).
-  Observer observer_;
-  LinkObserver link_observer_;
-  MetricsRegistry* metrics_ = nullptr;
-  CausalClockDomain* clocks_ = nullptr;
+  const DelayModel delay_;
 };
 
 }  // namespace nbcp

@@ -40,14 +40,6 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::Reset() {
-  MutexLock lock(&mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  series_.clear();
-}
-
 Json MetricsRegistry::ToJson() const {
   MutexLock lock(&mu_);
   Json j = Json::Object();

@@ -56,7 +56,8 @@ class Gauge {
 ///
 /// Thread safety: mu_ guards the *map structure* (lookup-or-create), and
 /// std::map node stability keeps returned references valid across later
-/// insertions. Counters and gauges are atomic and WindowedSeries locks
+/// insertions, and no metric is ever erased, so a reference is valid for
+/// the registry's lifetime (the transports resolve theirs once). Counters and gauges are atomic and WindowedSeries locks
 /// internally, so the references handed out by counter()/gauge()/series()
 /// are safe to use concurrently. LatencyHistogram is intentionally
 /// unsynchronized — the aggregation contract is one writer per histogram
@@ -109,8 +110,6 @@ class MetricsRegistry {
   /// Locks this registry, then `other` — do not merge two registries into
   /// each other concurrently.
   void Merge(const MetricsRegistry& other) NBCP_EXCLUDES(mu_);
-
-  void Reset() NBCP_EXCLUDES(mu_);
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,p50,...}}}
   Json ToJson() const NBCP_EXCLUDES(mu_);

@@ -1,225 +1,111 @@
 #include "runtime/threaded_transport.h"
 
 #include <algorithm>
-
-#include "common/logging.h"
-#include "obs/metrics_registry.h"
+#include <memory>
 
 namespace nbcp {
 
 ThreadedTransport::ThreadedTransport(Clock* clock, Options options)
-    : clock_(clock), inbox_capacity_(options.inbox_capacity) {}
+    : SiteTransport(clock), inbox_capacity_(options.inbox_capacity) {}
 
 ThreadedTransport::~ThreadedTransport() { Shutdown(); }
 
 Status ThreadedTransport::RegisterSite(SiteId site, Handler handler) {
-  if (site == kNoSite) {
-    return Status::InvalidArgument("site id 0 is reserved");
+  std::lock_guard<std::mutex> lock(register_mu_);
+  if (shutdown_) {
+    return Status::Unavailable("transport is shut down");
   }
-  if (!handler) {
-    return Status::InvalidArgument("null handler");
-  }
-  SiteState* state = nullptr;
-  bool fresh = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      return Status::Unavailable("transport is shut down");
-    }
-    auto [it, inserted] = sites_.try_emplace(site, nullptr);
-    if (inserted) {
-      it->second = std::make_unique<SiteState>(site);
-      fresh = true;
-    }
-    state = it->second.get();
-    down_sites_.erase(site);
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    state->handler = std::move(handler);
-  }
-  if (fresh) {
-    state->worker = std::thread([this, state] { WorkerLoop(state); });
+  auto fresh = std::make_unique<Inbox>();
+  Inbox* made = fresh.get();
+  Result<Endpoint*> inbox =
+      AddSite(site, std::move(handler), std::move(fresh));
+  if (!inbox.ok()) return inbox.status();
+  if (*inbox == made) {
+    made->worker = std::thread([this, made] { WorkerLoop(made); });
   }
   return Status::OK();
-}
-
-ThreadedTransport::SiteState* ThreadedTransport::FindSite(SiteId site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? nullptr : it->second.get();
 }
 
 Status ThreadedTransport::Send(Message msg) {
-  SiteState* receiver = nullptr;
-  uint64_t inflight_msgs = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto sender = sites_.find(msg.from);
-    if (sender == sites_.end()) {
-      return Status::InvalidArgument("unregistered sender site");
-    }
-    if (down_sites_.count(msg.from) != 0) {
-      return Status::Unavailable("sender site is down");
-    }
-    msg.sent_at = clock_->now();
-    msg.seq = ++next_seq_;
-    ++stats_.messages_sent;
-    stats_.bytes_sent += msg.payload.size();
-    inflight_msgs = stats_.messages_sent - stats_.messages_delivered -
-                    stats_.messages_dropped;
-    auto rcv = sites_.find(msg.to);
-    if (rcv != sites_.end()) receiver = rcv->second.get();
-  }
-  if (clocks_ != nullptr) msg.stamp = clocks_->OnSend(msg.from);
-  if (metrics_ != nullptr) {
-    metrics_->counter("net/sent").Inc();
-    metrics_->series("net/inflight").Record(clock_->now(), inflight_msgs);
-  }
-  if (observer_) observer_(msg, 's');
-
+  Endpoint* receiver = nullptr;
+  Status accepted = Accept(msg, &receiver);
+  if (!accepted.ok()) return accepted;
   if (receiver == nullptr) {
-    // Unknown receiver: nothing will ever pop this, so resolve the drop
-    // at send time (the simulated Network resolves it at delivery time;
-    // the observable outcome is the same 'x').
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.messages_dropped;
-    }
-    if (metrics_ != nullptr) metrics_->counter("net/dropped").Inc();
-    if (observer_) observer_(msg, 'x');
+    Drop(msg);  // Unknown receiver: no inbox will ever pop this.
     return Status::OK();
   }
-
   if (inflight_ != nullptr) inflight_->Add(1);
   Item item;
   item.msg = std::move(msg);
-  if (!Enqueue(receiver, std::move(item), /*bounded=*/true)) {
+  if (!Enqueue(static_cast<Inbox*>(receiver), std::move(item),
+               /*bounded=*/true)) {
     // Shutdown raced the send; the run is over, account it as dropped.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.messages_dropped;
+    Drop(item.msg);
   }
   return Status::OK();
 }
 
-bool ThreadedTransport::Enqueue(SiteState* state, Item item, bool bounded) {
-  size_t depth = 0;
-  {
-    std::unique_lock<std::mutex> lock(state->m);
-    if (bounded && std::this_thread::get_id() != state->worker_id) {
-      // Backpressure: block until the receiver drains (self-sends bypass
-      // the bound — blocking on your own full inbox is a self-deadlock).
-      state->not_full.wait(lock, [&] {
-        return state->inbox.size() < inbox_capacity_ || state->stop;
-      });
-    }
-    if (state->stop) {
-      lock.unlock();
-      if (inflight_ != nullptr) inflight_->Done();
-      return false;
-    }
-    state->inbox.push_back(std::move(item));
-    depth = state->inbox.size();
-    state->not_empty.notify_one();
+bool ThreadedTransport::Enqueue(Inbox* inbox, Item&& item, bool bounded) {
+  std::unique_lock<std::mutex> lock(inbox->m);
+  if (bounded && std::this_thread::get_id() != inbox->worker_id) {
+    // Backpressure: block until the receiver drains (self-sends bypass
+    // the bound — blocking on your own full inbox is a self-deadlock).
+    inbox->not_full.wait(lock, [&] {
+      return inbox->items.size() < inbox_capacity_ || inbox->stop;
+    });
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_inbox_depth_ = std::max(max_inbox_depth_, depth);
+  if (inbox->stop) {
+    lock.unlock();
+    if (inflight_ != nullptr) inflight_->Done();
+    return false;
   }
+  inbox->items.push_back(std::move(item));
+  inbox->max_depth = std::max(inbox->max_depth, inbox->items.size());
+  inbox->not_empty.notify_one();
   return true;
 }
 
-void ThreadedTransport::WorkerLoop(SiteState* state) {
+void ThreadedTransport::WorkerLoop(Inbox* inbox) {
   {
-    std::lock_guard<std::mutex> lock(state->m);
-    state->worker_id = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(inbox->m);
+    inbox->worker_id = std::this_thread::get_id();
   }
   while (true) {
     std::deque<Item> local;
     {
-      std::unique_lock<std::mutex> lock(state->m);
-      state->not_empty.wait(
-          lock, [&] { return state->stop || !state->inbox.empty(); });
-      if (state->stop) break;  // Leftovers are balanced by Shutdown.
+      std::unique_lock<std::mutex> lock(inbox->m);
+      inbox->not_empty.wait(
+          lock, [&] { return inbox->stop || !inbox->items.empty(); });
+      if (inbox->stop) break;  // Leftovers are balanced by Shutdown.
       // Drain eagerly: the whole inbox frees in one go, so a sender
       // blocked on backpressure resumes while this worker runs the batch.
-      local.swap(state->inbox);
-      state->not_full.notify_all();
+      local.swap(inbox->items);
+      inbox->not_full.notify_all();
     }
     for (Item& item : local) {
       if (item.is_task) {
         item.task();
+      } else if (schedule_log_ == nullptr) {
+        Deliver(item.msg);
       } else {
-        Deliver(state, std::move(item.msg));
+        // Only the schedule log reads the post-delivery stamp.
+        ScheduleRecord record;
+        if (Deliver(item.msg, &record.stamp)) {
+          record.kind = 'd';
+          record.site = item.msg.to;
+          record.from = item.msg.from;
+          record.msg_type = item.msg.type;
+          schedule_log_->Append(std::move(record));
+        }
       }
       if (inflight_ != nullptr) inflight_->Done();
     }
   }
 }
 
-void ThreadedTransport::Deliver(SiteState* state, Message msg) {
-  // Resolve the message's fate when it is popped, mirroring the simulated
-  // Network's delivery-time check: a crash or link cut that happened while
-  // the message sat in the inbox still drops it.
-  bool drop = false;
-  bool receiver_down = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cut_links_.count({msg.from, msg.to}) != 0) {
-      ++stats_.messages_dropped;
-      drop = true;
-    } else if (down_sites_.count(msg.to) != 0) {
-      ++stats_.messages_dropped;
-      drop = true;
-      receiver_down = true;
-    } else {
-      ++stats_.messages_delivered;
-    }
-  }
-  if (drop) {
-    if (receiver_down) {
-      NBCP_LOG_AT(kDebug, msg.to)
-          << "dropped " << msg.ToString() << " (receiver down)";
-    }
-    if (metrics_ != nullptr) metrics_->counter("net/dropped").Inc();
-    if (observer_) observer_(msg, 'x');
-    return;
-  }
-  Handler handler;
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    handler = state->handler;
-  }
-  // Only the schedule log reads the post-delivery stamp.
-  ClockStamp stamp;
-  if (clocks_ != nullptr && schedule_log_ != nullptr) {
-    stamp = clocks_->OnDeliver(msg.to, msg.stamp);
-  } else if (clocks_ != nullptr) {
-    clocks_->MergeDelivery(msg.to, msg.stamp);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("net/delivered").Inc();
-    // LatencyHistogram is thread-compatible, not thread-safe; workers
-    // deliver concurrently, so serialize this one recording site.
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    metrics_->histogram("net/delay_us").Record(clock_->now() - msg.sent_at);
-  }
-  if (observer_) observer_(msg, 'd');
-  if (schedule_log_ != nullptr) {
-    ScheduleRecord record;
-    record.kind = 'd';
-    record.site = msg.to;
-    record.from = msg.from;
-    record.msg_type = msg.type;
-    record.stamp = stamp;
-    schedule_log_->Append(std::move(record));
-  }
-  handler(msg);
-}
-
 void ThreadedTransport::Post(SiteId site, std::function<void()> fn) {
-  SiteState* state = FindSite(site);
-  if (state == nullptr) {
+  Inbox* inbox = FindInbox(site);
+  if (inbox == nullptr) {
     fn();  // No worker to defer to; run in the caller's context.
     return;
   }
@@ -227,19 +113,19 @@ void ThreadedTransport::Post(SiteId site, std::function<void()> fn) {
   Item item;
   item.is_task = true;
   item.task = std::move(fn);
-  Enqueue(state, std::move(item), /*bounded=*/false);
+  Enqueue(inbox, std::move(item), /*bounded=*/false);
 }
 
 void ThreadedTransport::PostSync(SiteId site, std::function<void()> fn) {
-  SiteState* state = FindSite(site);
-  if (state == nullptr) {
+  Inbox* inbox = FindInbox(site);
+  if (inbox == nullptr) {
     fn();
     return;
   }
   std::thread::id worker_id;
   {
-    std::lock_guard<std::mutex> lock(state->m);
-    worker_id = state->worker_id;
+    std::lock_guard<std::mutex> lock(inbox->m);
+    worker_id = inbox->worker_id;
   }
   if (worker_id == std::this_thread::get_id()) {
     fn();  // Already on the site's worker; inline keeps us deadlock-free.
@@ -260,7 +146,7 @@ void ThreadedTransport::PostSync(SiteId site, std::function<void()> fn) {
     done = true;
     done_cv.notify_one();
   };
-  if (!Enqueue(state, std::move(item), /*bounded=*/false)) {
+  if (!Enqueue(inbox, std::move(item), /*bounded=*/false)) {
     fn();  // Worker already stopped; the caller's context is quiescent.
     return;
   }
@@ -268,96 +154,42 @@ void ThreadedTransport::PostSync(SiteId site, std::function<void()> fn) {
   done_cv.wait(lock, [&done] { return done; });
 }
 
-void ThreadedTransport::SetSiteDown(SiteId site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sites_.count(site) != 0) down_sites_.insert(site);
-}
-
-void ThreadedTransport::SetSiteUp(SiteId site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  down_sites_.erase(site);
-}
-
-bool ThreadedTransport::IsSiteUp(SiteId site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sites_.count(site) != 0 && down_sites_.count(site) == 0;
-}
-
-void ThreadedTransport::CutLink(SiteId a, SiteId b) {
-  bool cut = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cut = cut_links_.insert({a, b}).second;
-  }
-  if (cut && link_observer_) link_observer_(a, b, /*cut=*/true);
-}
-
-void ThreadedTransport::RestoreLink(SiteId a, SiteId b) {
-  bool restored = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    restored = cut_links_.erase({a, b}) != 0;
-  }
-  if (restored && link_observer_) link_observer_(a, b, /*cut=*/false);
-}
-
-std::vector<SiteId> ThreadedTransport::Sites() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SiteId> out;
-  out.reserve(sites_.size());
-  for (const auto& [id, state] : sites_) out.push_back(id);
-  return out;  // std::map iterates ascending.
-}
-
-std::vector<SiteId> ThreadedTransport::OperationalSites() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SiteId> out;
-  for (const auto& [id, state] : sites_) {
-    if (down_sites_.count(id) == 0) out.push_back(id);
-  }
-  return out;
-}
-
-NetworkStats ThreadedTransport::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ThreadedTransport::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = NetworkStats{};
-}
-
 size_t ThreadedTransport::max_inbox_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_inbox_depth_;
+  size_t depth = 0;
+  for (Endpoint* endpoint : Endpoints()) {
+    auto* inbox = static_cast<Inbox*>(endpoint);
+    std::lock_guard<std::mutex> lock(inbox->m);
+    depth = std::max(depth, inbox->max_depth);
+  }
+  return depth;
 }
 
 void ThreadedTransport::Shutdown() {
-  std::vector<SiteState*> states;
+  std::vector<Inbox*> inboxes;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(register_mu_);
     if (shutdown_) return;
     shutdown_ = true;
-    states.reserve(sites_.size());
-    for (auto& [id, state] : sites_) states.push_back(state.get());
-  }
-  for (SiteState* state : states) {
-    {
-      std::lock_guard<std::mutex> lock(state->m);
-      state->stop = true;
+    for (Endpoint* endpoint : Endpoints()) {
+      inboxes.push_back(static_cast<Inbox*>(endpoint));
     }
-    state->not_empty.notify_all();
-    state->not_full.notify_all();
   }
-  for (SiteState* state : states) {
-    if (state->worker.joinable()) state->worker.join();
+  for (Inbox* inbox : inboxes) {
+    {
+      std::lock_guard<std::mutex> lock(inbox->m);
+      inbox->stop = true;
+    }
+    inbox->not_empty.notify_all();
+    inbox->not_full.notify_all();
+  }
+  for (Inbox* inbox : inboxes) {
+    if (inbox->worker.joinable()) inbox->worker.join();
   }
   size_t leftovers = 0;
-  for (SiteState* state : states) {
-    std::lock_guard<std::mutex> lock(state->m);
-    leftovers += state->inbox.size();
-    state->inbox.clear();
+  for (Inbox* inbox : inboxes) {
+    std::lock_guard<std::mutex> lock(inbox->m);
+    leftovers += inbox->items.size();
+    inbox->items.clear();
   }
   if (inflight_ != nullptr) {
     for (size_t i = 0; i < leftovers; ++i) inflight_->Done();

@@ -5,32 +5,28 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "runtime/clock.h"
 #include "runtime/inflight.h"
 #include "runtime/schedule_log.h"
-#include "runtime/transport.h"
+#include "runtime/site_transport.h"
 
 namespace nbcp {
 
 /// Threaded implementation of the Transport seam: one worker thread per
 /// site, each draining a bounded MPSC inbox of messages and tasks.
 ///
-/// Delivery semantics match the simulated Network: sends from a down site
-/// fail; a message's fate (delivered vs dropped for cut link / receiver
-/// down) is resolved when the receiver *pops* it, not when it is sent; a
-/// delivered message merges its causal stamp into the receiver before the
-/// handler runs. There is no artificial channel delay — the DelayModel is
-/// a property of the simulated network; here latency is whatever the
-/// machine provides — and per-channel delivery is FIFO (the inbox is a
-/// queue), which is a legal refinement of the paper's asynchronous model.
+/// The fault model is SiteTransport's; this class adds only the
+/// scheduling. A message's fate is decided when the receiver's worker pops
+/// it, so a crash or link cut while it sat in the inbox still drops it. A
+/// message to an unknown receiver has no inbox and is dropped at once.
+/// There is no artificial channel delay (the DelayModel is a property of
+/// the simulated network; here latency is whatever the machine provides),
+/// and per-channel delivery is FIFO (the inbox is a queue), which is a
+/// legal refinement of the paper's asynchronous model.
 ///
 /// Backpressure: an inbox holds at most `inbox_capacity` items; a sender
 /// blocks until space frees up. Two exceptions keep the system live: a
@@ -51,7 +47,7 @@ namespace nbcp {
 /// also with trace consumers attached: each site's events form blocks in
 /// that site's own trace buffer (see TraceRecorder::BufferPerSite), and
 /// the schedule log is put in causal order when read.
-class ThreadedTransport : public Transport {
+class ThreadedTransport : public SiteTransport {
  public:
   struct Options {
     size_t inbox_capacity = 4096;
@@ -62,38 +58,14 @@ class ThreadedTransport : public Transport {
       : ThreadedTransport(clock, Options{}) {}
   ~ThreadedTransport() override;
 
-  ThreadedTransport(const ThreadedTransport&) = delete;
-  ThreadedTransport& operator=(const ThreadedTransport&) = delete;
-
   /// Registers `site` and spawns its worker thread (first registration
   /// only; re-registering swaps the handler).
   Status RegisterSite(SiteId site, Handler handler) override;
 
   Status Send(Message msg) override;
 
-  void SetSiteDown(SiteId site) override;
-  void SetSiteUp(SiteId site) override;
-  bool IsSiteUp(SiteId site) const override;
-  void CutLink(SiteId a, SiteId b) override;
-  void RestoreLink(SiteId a, SiteId b) override;
-
-  std::vector<SiteId> Sites() const override;
-  std::vector<SiteId> OperationalSites() const override;
-
-  NetworkStats StatsSnapshot() const override;
-  void ResetStats() override;
-
   void Post(SiteId site, std::function<void()> fn) override;
   void PostSync(SiteId site, std::function<void()> fn) override;
-
-  void set_observer(Observer observer) override {
-    observer_ = std::move(observer);
-  }
-  void set_link_observer(LinkObserver observer) override {
-    link_observer_ = std::move(observer);
-  }
-  void set_metrics(MetricsRegistry* metrics) override { metrics_ = metrics; }
-  void set_clocks(CausalClockDomain* clocks) override { clocks_ = clocks; }
 
   /// Setup-time wiring: queued items and running handlers count here.
   void set_inflight(InflightCounter* inflight) { inflight_ = inflight; }
@@ -117,50 +89,36 @@ class ThreadedTransport : public Transport {
     std::function<void()> task;
   };
 
-  /// Per-site worker state. Own mutex so senders to different sites do
-  /// not contend; heap-allocated so pointers stay stable under map growth.
-  struct SiteState {
-    explicit SiteState(SiteId id) : site(id) {}
-
-    const SiteId site;
+  /// Per-site worker state, attached to the site's registry entry. Own
+  /// mutex so senders to different sites do not contend.
+  struct Inbox : Endpoint {
     std::mutex m;
     std::condition_variable not_empty;
     std::condition_variable not_full;
-    std::deque<Item> inbox;
+    std::deque<Item> items;
+    size_t max_depth = 0;  ///< High-water mark of `items`.
     bool stop = false;
-    Handler handler;          ///< Written at register time, read by worker.
     std::thread worker;
     std::thread::id worker_id;
   };
 
-  void WorkerLoop(SiteState* state);
-  void Deliver(SiteState* state, Message msg);
-  /// Enqueues onto `state`'s inbox, honoring the bound unless the caller
-  /// is the receiving worker itself or the item is a task. Returns false
-  /// (after balancing the inflight counter) if the worker has stopped.
-  bool Enqueue(SiteState* state, Item item, bool bounded);
-  SiteState* FindSite(SiteId site) const;
+  void WorkerLoop(Inbox* inbox);
+  /// Enqueues onto `inbox`, honoring the bound unless the caller is the
+  /// receiving worker itself or the item is a task. Returns false (after
+  /// balancing the inflight counter, with `item` not moved from) if the
+  /// worker has stopped.
+  bool Enqueue(Inbox* inbox, Item&& item, bool bounded);
+  Inbox* FindInbox(SiteId site) const {
+    return static_cast<Inbox*>(EndpointOf(site));
+  }
 
-  Clock* clock_;
   const size_t inbox_capacity_;
 
-  /// Serializes net/delay_us histogram recording (see Deliver).
-  std::mutex metrics_mu_;
-
-  mutable std::mutex mu_;
-  std::map<SiteId, std::unique_ptr<SiteState>> sites_;
-  std::set<SiteId> down_sites_;
-  std::set<std::pair<SiteId, SiteId>> cut_links_;
-  NetworkStats stats_;
-  uint64_t next_seq_ = 0;
-  size_t max_inbox_depth_ = 0;
+  /// Orders registration against Shutdown: no worker starts after it.
+  std::mutex register_mu_;
   bool shutdown_ = false;
 
   // Setup-time wiring; unguarded.
-  Observer observer_;
-  LinkObserver link_observer_;
-  MetricsRegistry* metrics_ = nullptr;
-  CausalClockDomain* clocks_ = nullptr;
   InflightCounter* inflight_ = nullptr;
   ScheduleLog* schedule_log_ = nullptr;
 };

@@ -33,10 +33,12 @@ struct NetworkStats {
 ///     thread per site draining a bounded MPSC inbox, with real
 ///     backpressure on senders.
 ///
-/// Both share the paper's failure semantics: sends from a down site fail,
-/// messages to a down/unknown receiver or across a cut link are silently
-/// dropped at delivery time, and delivery merges the message's causal
-/// stamp into the receiver before the handler runs.
+/// Both derive from SiteTransport (src/runtime/site_transport.h), the one
+/// implementation of the paper's failure semantics: sends from a down site
+/// fail, messages to a down/unknown receiver or across a cut link are
+/// silently dropped at delivery time, and delivery merges the message's
+/// causal stamp into the receiver before the handler runs. They differ
+/// only in how a delivery is scheduled.
 class Transport {
  public:
   using Handler = std::function<void(const Message&)>;
@@ -121,8 +123,9 @@ class Transport {
   virtual void set_link_observer(LinkObserver observer) = 0;
 
   /// Attaches a metrics registry: traffic counters ("net/sent",
-  /// "net/delivered", "net/dropped") and the send-to-delivery delay
-  /// histogram ("net/delay_us").
+  /// "net/delivered", "net/dropped"), the in-flight series
+  /// ("net/inflight") and the send-to-delivery delay histogram
+  /// ("net/delay_us").
   virtual void set_metrics(MetricsRegistry* metrics) = 0;
 
   /// Attaches the run's causal clocks. When set, Send ticks the sender and

@@ -71,6 +71,14 @@ TEST_F(InjectorTest, CrashIsIdempotent) {
   EXPECT_FALSE(system_->network().IsSiteUp(2));
 }
 
+TEST_F(InjectorTest, TerminationIsNullOnlyWhileCrashed) {
+  ASSERT_NE(system_->participant(2).termination(), nullptr);
+  system_->injector().CrashNow(2);
+  EXPECT_EQ(system_->participant(2).termination(), nullptr);
+  system_->injector().RecoverNow(2);
+  EXPECT_NE(system_->participant(2).termination(), nullptr);
+}
+
 TEST_F(InjectorTest, RecoveryIsIdempotent) {
   system_->injector().RecoverNow(2);  // Not down: no-op.
   EXPECT_FALSE(system_->participant(2).crashed());

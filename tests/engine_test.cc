@@ -210,10 +210,10 @@ TEST_F(EngineTest, FreezeStopsNormalProcessing) {
 }
 
 TEST_F(EngineTest, ForceToKindJumpsWithoutMessages) {
-  uint64_t sent_before = net_.stats().messages_sent;
+  uint64_t sent_before = net_.StatsSnapshot().messages_sent;
   ASSERT_TRUE(E(2).ForceToKind(7, StateKind::kWait).ok());
   EXPECT_EQ(E(2).CurrentKind(7), StateKind::kWait);
-  EXPECT_EQ(net_.stats().messages_sent, sent_before);
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, sent_before);
 }
 
 TEST_F(EngineTest, ForceToKindRejectsLeavingFinalState) {

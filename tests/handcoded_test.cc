@@ -35,7 +35,7 @@ TEST_F(HandCodedTest, AllYesCommits) {
     EXPECT_EQ(nodes_[s]->OutcomeOf(1), Outcome::kCommitted) << "site " << s;
   }
   // 5(n-1) messages, like the interpreted engine.
-  EXPECT_EQ(net_.stats().messages_sent, 15u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, 15u);
 }
 
 TEST_F(HandCodedTest, SlaveNoAborts) {
@@ -64,7 +64,7 @@ TEST_F(HandCodedTest, MatchesInterpretedEngineObservably) {
   // outcome + total message count — the ablation's like-for-like check.
   ASSERT_TRUE(nodes_[1]->Start(1).ok());
   sim_.Run();
-  uint64_t handcoded_messages = net_.stats().messages_sent;
+  uint64_t handcoded_messages = net_.StatsSnapshot().messages_sent;
 
   Simulator sim2(1);
   Network net2(&sim2, DelayModel{100, 0});
@@ -79,7 +79,7 @@ TEST_F(HandCodedTest, MatchesInterpretedEngineObservably) {
   sim2.Run();
 
   EXPECT_EQ(engines[1]->OutcomeOf(1), nodes_[1]->OutcomeOf(1));
-  EXPECT_EQ(net2.stats().messages_sent, handcoded_messages);
+  EXPECT_EQ(net2.StatsSnapshot().messages_sent, handcoded_messages);
   EXPECT_EQ(sim2.now(), sim_.now()) << "same rounds, same virtual latency";
 }
 

@@ -75,7 +75,7 @@ TEST_F(NetworkTest, MessageToDownReceiverIsDropped) {
   ASSERT_TRUE(net_.Send(Make("x", 1, 2)).ok());
   sim_.Run();
   EXPECT_TRUE(inboxes_[2].empty());
-  EXPECT_EQ(net_.stats().messages_dropped, 1u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_dropped, 1u);
 }
 
 TEST_F(NetworkTest, MessageInFlightWhenReceiverCrashesIsDropped) {
@@ -127,12 +127,12 @@ TEST_F(NetworkTest, StatsCountTraffic) {
   net_.SetSiteDown(3);
   ASSERT_TRUE(net_.Send(Make("y", 1, 3)).ok());
   sim_.Run();
-  EXPECT_EQ(net_.stats().messages_sent, 2u);
-  EXPECT_EQ(net_.stats().messages_delivered, 1u);
-  EXPECT_EQ(net_.stats().messages_dropped, 1u);
-  EXPECT_EQ(net_.stats().bytes_sent, 5u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, 2u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_delivered, 1u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_dropped, 1u);
+  EXPECT_EQ(net_.StatsSnapshot().bytes_sent, 5u);
   net_.ResetStats();
-  EXPECT_EQ(net_.stats().messages_sent, 0u);
+  EXPECT_EQ(net_.StatsSnapshot().messages_sent, 0u);
 }
 
 TEST_F(NetworkTest, SiteListsAreSorted) {
@@ -145,17 +145,27 @@ TEST_F(NetworkTest, SiteListsAreSorted) {
 }
 
 TEST_F(NetworkTest, JitterStaysWithinBounds) {
-  net_.set_delay_model(DelayModel{100, 50});
-  RegisterSites(2);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(net_.Send(Make("x", 1, 2)).ok());
+  Network jittery(&sim_, DelayModel{100, 50});
+  std::vector<SimTime> arrivals;
+  for (SiteId s = 1; s <= 2; ++s) {
+    ASSERT_TRUE(jittery
+                    .RegisterSite(s,
+                                  [this, &arrivals](const Message&) {
+                                    arrivals.push_back(sim_.now());
+                                  })
+                    .ok());
   }
   SimTime start = sim_.now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(jittery.Send(Make("x", 1, 2)).ok());
+  }
   sim_.Run();
   // All deliveries within [100, 150].
-  EXPECT_GE(sim_.now(), start + 100);
-  EXPECT_LE(sim_.now(), start + 150);
-  EXPECT_EQ(inboxes_[2].size(), 50u);
+  ASSERT_EQ(arrivals.size(), 50u);
+  for (SimTime at : arrivals) {
+    EXPECT_GE(at, start + 100);
+    EXPECT_LE(at, start + 150);
+  }
 }
 
 TEST_F(NetworkTest, MessageToString) {

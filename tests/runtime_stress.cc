@@ -143,8 +143,9 @@ void ReportRound(CommitSystem& system, TransactionId txn,
              ToString(p.OutcomeOf(txn)) + ", termination start " +
              (term.has_value() ? std::to_string(*term) + "us" : "-") +
              ", backup " +
-             (p.crashed() ? "- (crashed)"
-                          : std::to_string(p.termination().Backup(txn)));
+             (p.termination() == nullptr
+                  ? "- (crashed)"
+                  : std::to_string(p.termination()->Backup(txn)));
     });
     std::fprintf(stderr, "    %s\n", line.c_str());
   }
