@@ -42,8 +42,9 @@ bool ConcurrentWith(const ClockStamp& a, const ClockStamp& b) {
   return !VectorLeq(a, b) && !VectorLeq(b, a);
 }
 
-CausalClockDomain::CausalClockDomain(size_t num_sites)
+CausalClockDomain::CausalClockDomain(size_t num_sites, bool vectors)
     : n_(num_sites), sites_(new SiteClock[num_sites]) {
+  if (!vectors) return;
   for (size_t i = 0; i < n_; ++i) {
     SiteClock* clock = &sites_[i];
     MutexLock lock(&clock->mu);
@@ -51,20 +52,31 @@ CausalClockDomain::CausalClockDomain(size_t num_sites)
   }
 }
 
+void CausalClockDomain::Advance(SiteClock* clock, size_t i) {
+  ++clock->lamport;
+  if (!clock->vc.empty()) ++clock->vc[i];
+}
+
 ClockStamp CausalClockDomain::OnLocal(SiteId site) {
   SiteClock* clock = ClockOf(site);
   if (clock == nullptr) return {};
-  size_t i = site - 1;
   MutexLock lock(&clock->mu);
-  ++clock->lamport;
-  ++clock->vc[i];
+  Advance(clock, site - 1);
   return ClockStamp{clock->lamport, clock->vc};
+}
+
+void CausalClockDomain::Tick(SiteId site) {
+  SiteClock* clock = ClockOf(site);
+  if (clock == nullptr) return;
+  MutexLock lock(&clock->mu);
+  Advance(clock, site - 1);
 }
 
 void CausalClockDomain::Merge(SiteClock* clock, size_t i,
                               const ClockStamp& msg) {
   clock->lamport = std::max(clock->lamport, msg.lamport) + 1;
   std::vector<uint64_t>& mine = clock->vc;
+  if (mine.empty()) return;  // Lamport only.
   size_t common = std::min(mine.size(), msg.vc.size());
   for (size_t j = 0; j < common; ++j) {
     mine[j] = std::max(mine[j], msg.vc[j]);

@@ -13,8 +13,9 @@ namespace nbcp {
 
 /// A causal timestamp: a Lamport scalar plus a vector clock, taken at one
 /// site. `vc[i]` counts the ticked events site i+1 has (transitively) heard
-/// of. An empty vector marks an unstamped value (clocks not wired, or a
-/// trace recorded before clocks existed).
+/// of. An empty vector marks an unstamped value (clocks not wired, a
+/// domain kept without vectors, or a trace recorded before clocks
+/// existed); its Lamport value may still be set.
 struct ClockStamp {
   uint64_t lamport = 0;
   std::vector<uint64_t> vc;
@@ -43,6 +44,12 @@ bool ConcurrentWith(const ClockStamp& a, const ClockStamp& b);
 
 /// Per-site Lamport + vector clocks for an n-site run, ticked by the
 /// transports (network send/deliver) and the clocks (timer firings).
+///
+/// The Lamport scalar always ticks. The vector part is kept only when the
+/// domain is built with `vectors` (its default): a domain without vectors
+/// hands out Lamport-only stamps (`stamped()` is false), which neither
+/// allocate nor order events by happens-before. CommitSystem keeps vectors
+/// only when something reads them (a trace recorder or a schedule log).
 /// Transport-agnostic: each site's clock sits behind a lock of its own, so
 /// the discrete-event runtime and the threaded runtime tick the same domain
 /// and sites never contend with each other. Only a site's own events tick
@@ -59,7 +66,7 @@ bool ConcurrentWith(const ClockStamp& a, const ClockStamp& b);
 /// monotone per site and cannot mask a real causality violation).
 class CausalClockDomain {
  public:
-  explicit CausalClockDomain(size_t num_sites);
+  explicit CausalClockDomain(size_t num_sites, bool vectors = true);
 
   CausalClockDomain(const CausalClockDomain&) = delete;
   CausalClockDomain& operator=(const CausalClockDomain&) = delete;
@@ -69,6 +76,10 @@ class CausalClockDomain {
   /// Ticks `site` for a local event (timer firing, protocol start).
   /// Returns the post-tick stamp. No-op ({} returned) for out-of-range ids.
   ClockStamp OnLocal(SiteId site);
+
+  /// OnLocal for a caller that does not read the resulting stamp: the
+  /// same tick, without building (and allocating) a stamp.
+  void Tick(SiteId site);
 
   /// Ticks `site` for a message send; the returned stamp travels with the
   /// message.
@@ -102,6 +113,8 @@ class CausalClockDomain {
   SiteClock* ClockOf(SiteId site) const {
     return site >= 1 && site <= n_ ? &sites_[site - 1] : nullptr;
   }
+  /// Applies the local tick rule to `clock` (site index `i`).
+  static void Advance(SiteClock* clock, size_t i) NBCP_REQUIRES(clock->mu);
   /// Applies the delivery tick rule to `clock` (site index `i`).
   static void Merge(SiteClock* clock, size_t i, const ClockStamp& msg)
       NBCP_REQUIRES(clock->mu);

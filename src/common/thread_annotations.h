@@ -6,10 +6,11 @@
 //
 // This header is the concurrency contract ROADMAP item 1 (the threaded
 // runtime) implements against: every class the threads will contend on
-// (MetricsRegistry, TraceRecorder, EventQueue, Network, GlobalStateObserver,
-// WindowedSeries) declares which mutex guards which member, and the CI
-// thread-safety leg compiles with -Werror=thread-safety so a lock left out
-// of a new code path is a build break, not a data race found in production.
+// (MetricsRegistry, TraceRecorder, SiteTransport, CausalClockDomain,
+// FailureDetector, GlobalStateObserver, WindowedSeries) declares which
+// mutex guards which member, and the CI thread-safety leg compiles with
+// -Werror=thread-safety so a lock left out of a new code path is a build
+// break, not a data race found in production.
 //
 // The macros expand to Clang attributes under __clang__ and to nothing
 // elsewhere (GCC has no equivalent analysis), so annotated code builds

@@ -27,9 +27,15 @@ Result<std::unique_ptr<CommitSystem>> CommitSystem::CreateWithSpec(
 
   auto system = std::unique_ptr<CommitSystem>(new CommitSystem());
   system->config_ = config;
-  // Causal clocks are always on: the transport ticks sends/deliveries, the
-  // clock ticks timers, and (when tracing) every event carries a sample.
-  system->clocks_ = std::make_unique<CausalClockDomain>(config.num_sites);
+  // Causal clocks always tick: the transport ticks sends/deliveries and the
+  // clock ticks timers. The Lamport scalar is always kept (the threaded
+  // schedule log and trace-buffer merge sort on it); the vector part only
+  // when something reads it: a trace recorder, whose every event carries a
+  // sample, or the threaded schedule log.
+  const bool vectors = config.trace || config.observe || config.blocking ||
+                       config.record_schedule;
+  system->clocks_ =
+      std::make_unique<CausalClockDomain>(config.num_sites, vectors);
   if (threaded) {
     ThreadedRuntime::Options rt;
     rt.seed = config.seed;
@@ -232,8 +238,11 @@ Status CommitSystem::Launch(TransactionId txn) {
   auto start_at = [this, txn](SiteId site) {
     Status s = Status::OK();
     transport_->PostSync(site, [this, txn, site, &s]() {
-      ClockStamp stamp = clocks_->OnLocal(site);
-      if (runtime_ != nullptr) runtime_->RecordStart(site, std::move(stamp));
+      if (runtime_ != nullptr && runtime_->record_schedule()) {
+        runtime_->RecordStart(site, clocks_->OnLocal(site));
+      } else {
+        clocks_->Tick(site);
+      }
       s = participant(site).StartProtocol(txn);
     });
     return s;

@@ -136,7 +136,9 @@ class CommitSystem {
   ThreadedRuntime* runtime() { return runtime_.get(); }
 
   /// The run's Lamport/vector clocks, ticked by the network (send/deliver)
-  /// and the simulator (timers); every trace event carries a sample.
+  /// and the simulator (timers); every trace event carries a sample. The
+  /// vector part is kept only with trace, observe, blocking or
+  /// record_schedule on; otherwise stamps are Lamport-only.
   CausalClockDomain& clocks() { return *clocks_; }
   const CausalClockDomain& clocks() const { return *clocks_; }
   FailureDetector& detector() { return *detector_; }

@@ -6,8 +6,8 @@
 
 #include "common/status.h"
 #include "net/message.h"
-#include "runtime/clock.h"
 #include "runtime/site_transport.h"
+#include "sim/simulator.h"
 
 namespace nbcp {
 
@@ -29,17 +29,19 @@ struct DelayModel {
 ///
 /// This is the virtual-time implementation of the Transport seam. The
 /// fault model is SiteTransport's; this class adds only the scheduling:
-/// delivery is an event on the Clock after a channel delay sampled from
-/// the delay model fixed at construction, and Post/PostSync run inline
-/// because the single sim thread IS every site's execution context.
+/// delivery is a typed event on the Simulator after a channel delay
+/// sampled from the delay model fixed at construction (the event holds
+/// the message itself, so a send builds no closure and no label), and
+/// Post/PostSync run inline because the single sim thread IS every site's
+/// execution context.
 ///
 /// Thread safety: as SiteTransport's. The delay model is immutable, and
-/// the delay is drawn from the Clock's rng, which only the sim thread
+/// the delay is drawn from the Simulator's rng, which only the sim thread
 /// uses.
 class Network : public SiteTransport {
  public:
-  explicit Network(Clock* clock, DelayModel delay = DelayModel{})
-      : SiteTransport(clock), delay_(delay) {}
+  explicit Network(Simulator* sim, DelayModel delay = DelayModel{})
+      : SiteTransport(sim), sim_(sim), delay_(delay) {}
 
   /// Sends `msg`; delivery is scheduled after the channel delay.
   Status Send(Message msg) override;
@@ -58,6 +60,12 @@ class Network : public SiteTransport {
   /// Samples the delivery delay for one message.
   SimTime SampleDelay();
 
+  /// The delivery event's action (a DeliverFn): `self` is the Network.
+  static void DeliverEvent(void* self, const Message& msg) {
+    static_cast<Network*>(self)->Deliver(msg);
+  }
+
+  Simulator* const sim_;
   const DelayModel delay_;
 };
 

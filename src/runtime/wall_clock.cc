@@ -94,7 +94,7 @@ void WallClock::TimerLoop() {
       // callback runs on post-tick clocks.
       fn = [clocks = clocks_, site = entry.label.site,
             inner = std::move(fn)]() {
-        clocks->OnLocal(site);
+        clocks->Tick(site);
         inner();
       };
     }

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/types.h"
+#include "net/message.h"
 
 namespace nbcp {
 
@@ -47,6 +47,31 @@ struct PendingEvent {
   EventLabel label;
 };
 
+/// Runs one typed message delivery; `target` is whatever the scheduler
+/// passed along with the message (the simulated Network).
+using DeliverFn = void (*)(void* target, const Message& msg);
+
+/// The work of one event, as Pop hands it out: either a typed delivery,
+/// `deliver(target, msg)`, which needs no closure, or a callback.
+struct EventAction {
+  std::function<void()> fn;
+  DeliverFn deliver = nullptr;
+  void* target = nullptr;
+  Message msg;
+
+  void operator()() {
+    if (deliver != nullptr) {
+      deliver(target, msg);
+    } else {
+      fn();
+    }
+  }
+  /// False for the empty action PopById returns for a dead id.
+  explicit operator bool() const {
+    return deliver != nullptr || static_cast<bool>(fn);
+  }
+};
+
 /// Time-ordered queue of simulation events.
 ///
 /// Ordering contract: events pop in ascending `SimTime`; events with equal
@@ -55,15 +80,22 @@ struct PendingEvent {
 /// is deterministic and independent of cancellation history, which makes
 /// recorded schedules replayable.
 ///
-/// Storage: live entries live in an id-indexed map; a (time, seq, id) heap
-/// provides time order. Cancellation and PopById remove the map entry and
-/// leave a stale heap node behind, which Pop/NextTime lazily skip. Cancel on
-/// an id that already fired (or never existed) is a strict no-op.
+/// Ids: an id is the push sequence number in the high bits and the entry's
+/// slot in the low bits, so ids are unique, never reissued (a reused slot
+/// gets a new sequence number), and ascend in push order — (time, id) is
+/// the pop order.
 ///
-/// Thread safety: every operation takes mu_, so concurrent producers (timer
-/// threads, network delivery threads) may Push/Cancel against a consumer
-/// loop. Callbacks are *returned* to the caller, never invoked under the
-/// lock — the consumer runs them lock-free.
+/// Storage: entries live in a slab of fixed-size chunks with an intrusive
+/// free list; a (time, id) binary heap provides time order. Cancellation
+/// and PopById free the slot and leave a stale heap node behind, which
+/// Pop/NextTime lazily skip (a node is live only while its slot still
+/// holds its id). Cancel of an id that already fired, or never existed, is
+/// a strict no-op. When the last live event leaves, the queue gives back
+/// every chunk but the first and a large heap array, so a simulator that
+/// drains between waves does not hold its high-water mark.
+///
+/// Thread safety: none. Only the single-threaded Simulator uses a queue;
+/// the threaded backend's timers live in WallClock.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -76,71 +108,89 @@ class EventQueue {
   /// Schedules `fn` at absolute time `at` with an exploration label.
   EventId Push(SimTime at, EventLabel label, std::function<void()> fn);
 
+  /// Schedules a typed delivery at absolute time `at`: firing it calls
+  /// `deliver(target, msg)`. Pending() labels it kDelivery at `msg.to`,
+  /// with the message's sender, transaction, type and network seq.
+  EventId PushDelivery(SimTime at, DeliverFn deliver, void* target,
+                       Message msg);
+
   /// Cancels a pending event. No effect on ids that already fired, were
   /// already cancelled, or were never issued.
   void Cancel(EventId id);
 
   /// True when no live (non-cancelled) events remain.
-  bool Empty() const NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return live_.empty();
-  }
+  bool Empty() const { return live_ == 0; }
 
   /// Time of the earliest live event. Requires !Empty().
   SimTime NextTime();
 
-  /// Removes and returns the earliest live event's callback, setting
-  /// `*time` to its timestamp. Requires !Empty().
-  std::function<void()> Pop(SimTime* time);
+  /// Removes and returns the earliest live event's action, setting `*time`
+  /// to its timestamp. Requires !Empty().
+  EventAction Pop(SimTime* time);
 
-  /// Removes and returns the callback of the live event `id`, setting
-  /// `*time` to its timestamp. Returns an empty function if `id` is not
+  /// Removes and returns the action of the live event `id`, setting
+  /// `*time` to its timestamp. Returns an empty action if `id` is not
   /// pending (already fired, cancelled, or unknown).
-  std::function<void()> PopById(EventId id, SimTime* time);
+  EventAction PopById(EventId id, SimTime* time);
 
   /// True when `id` is still pending.
-  bool Contains(EventId id) const NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return live_.count(id) != 0;
-  }
+  bool Contains(EventId id) const { return Find(id) != nullptr; }
 
   /// Number of live events.
-  size_t Size() const NBCP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return live_.size();
-  }
+  size_t Size() const { return live_; }
 
   /// Snapshot of all live events in pop order (time, then scheduling seq).
   std::vector<PendingEvent> Pending() const;
 
  private:
-  struct Entry {
-    SimTime time;
-    uint64_t seq;
-    EventLabel label;
-    std::function<void()> fn;
+  static constexpr int kSlotBits = 24;
+  static constexpr uint32_t kMaxSlots = uint32_t{1} << kSlotBits;
+  // 64 slots of ~264 bytes: the chunk a drained queue keeps is small
+  // (256-slot chunks raised sim-crash-recovery's peak heap by 2%).
+  static constexpr int kChunkBits = 6;
+  static constexpr uint32_t kChunkSize = uint32_t{1} << kChunkBits;
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  struct Slot {
+    SimTime time = 0;
+    EventId id = 0;  ///< 0 while the slot is free.
+    uint32_t next_free = kNoSlot;
+    EventLabel label;  ///< Unused by typed deliveries (derived instead).
+    EventAction action;
   };
   struct HeapItem {
     SimTime time;
-    uint64_t seq;
     EventId id;
   };
   struct Later {
     bool operator()(const HeapItem& a, const HeapItem& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
 
-  /// Drops heap nodes whose entry is gone (cancelled or popped by id).
-  void SkipDead() NBCP_REQUIRES(mu_);
+  Slot& At(uint32_t index) const {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+  /// The slot holding live event `id`, or nullptr.
+  Slot* Find(EventId id) const;
+  /// Claims a free slot for an event at `at` and queues it; returns it.
+  Slot& Claim(SimTime at);
+  /// Moves the action out of the live `slot`, frees it, and releases the
+  /// storage if that was the last live event.
+  EventAction Take(Slot& slot, SimTime* time);
+  /// Drops heap nodes whose slot no longer holds their id.
+  void SkipDead();
+  /// Called when the last live event leaves: forgets every slot and heap
+  /// node and gives back all but the first chunk.
+  void Release();
 
-  mutable Mutex mu_;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_
-      NBCP_GUARDED_BY(mu_);
-  std::unordered_map<EventId, Entry> live_ NBCP_GUARDED_BY(mu_);
-  uint64_t next_seq_ NBCP_GUARDED_BY(mu_) = 0;
-  EventId next_id_ NBCP_GUARDED_BY(mu_) = 1;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint32_t used_ = 0;  ///< Slots handed out since the last Release.
+  uint32_t free_head_ = kNoSlot;
+  std::vector<HeapItem> heap_;  ///< Min-heap on (time, id) under Later.
+  size_t live_ = 0;
+  uint64_t next_seq_ = 1;  ///< Starts at 1 so that 0 is never an id.
 };
 
 }  // namespace nbcp

@@ -38,7 +38,7 @@ size_t Simulator::RunControlled(ScheduleStrategy& strategy,
     EventId choice = strategy.ChooseNext(*this, queue_.Pending());
     if (choice == kStopRun) break;
     SimTime t;
-    std::function<void()> fn;
+    EventAction fn;
     if (choice == 0) {
       fn = queue_.Pop(&t);
     } else {

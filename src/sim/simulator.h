@@ -63,6 +63,17 @@ class Simulator : public Clock {
     return id;
   }
 
+  /// Schedules the delivery of `msg` `delay` microseconds from now: the
+  /// event calls `deliver(target, msg)`, with no closure built. Its label,
+  /// derived from the message, is what Pending() shows.
+  EventId ScheduleDelivery(SimTime delay, DeliverFn deliver, void* target,
+                           Message msg) {
+    EventId id = queue_.PushDelivery(now_ + delay, deliver, target,
+                                     std::move(msg));
+    NoteScheduled();
+    return id;
+  }
+
   /// Attaches the run's causal clocks (not owned; nullptr detaches). Only
   /// timer firings scheduled *after* this call tick the clock.
   void set_clocks(CausalClockDomain* clocks) override { clocks_ = clocks; }
@@ -133,7 +144,7 @@ class Simulator : public Clock {
     if (clocks_ != nullptr && label.cls == EventClass::kTimer &&
         label.site != kNoSite) {
       return [clocks = clocks_, site = label.site, inner = std::move(fn)]() {
-        clocks->OnLocal(site);
+        clocks->Tick(site);
         inner();
       };
     }

@@ -85,6 +85,31 @@ TEST(CausalClockTest, MergeDeliveryTicksLikeOnDeliver) {
   EXPECT_EQ(merged.Current(2), got);
 }
 
+TEST(CausalClockTest, TickAdvancesLikeOnLocal) {
+  CausalClockDomain ticked(3);
+  CausalClockDomain local(3);
+  ticked.Tick(2);
+  EXPECT_EQ(ticked.Current(2), local.OnLocal(2));
+  ticked.Tick(0);  // Out of range: no-op.
+  ticked.Tick(4);
+  EXPECT_EQ(ticked.Current(2), local.Current(2));
+}
+
+TEST(CausalClockTest, VectorFreeDomainKeepsLamportRules) {
+  CausalClockDomain clocks(3, /*vectors=*/false);
+  ClockStamp sent = clocks.OnSend(1);
+  EXPECT_EQ(sent.lamport, 1u);
+  EXPECT_FALSE(sent.stamped());
+  clocks.Tick(2);
+  clocks.Tick(2);
+  clocks.Tick(2);
+  // max(3, 1) + 1: the Lamport delivery rule still holds without vectors.
+  EXPECT_EQ(clocks.OnDeliver(2, sent).lamport, 4u);
+  clocks.MergeDelivery(3, sent);
+  EXPECT_EQ(clocks.Current(3).lamport, 2u);
+  EXPECT_FALSE(clocks.Current(3).stamped());
+}
+
 TEST(CausalClockTest, ConcurrentSitesMatchASequentialReplay) {
   constexpr size_t kSites = 4;
   constexpr size_t kRounds = 2000;
@@ -397,6 +422,76 @@ TEST(CausalTraceTest, UntracedSystemStillTicksClocks) {
   (*system)->RunToCompletion(txn);
   for (SiteId s = 1; s <= 3; ++s) {
     EXPECT_GT((*system)->clocks().Current(s).lamport, 0u) << "site " << s;
+  }
+}
+
+// Vector stamps are kept only when something reads them.
+
+TEST(CausalTraceTest, UntracedSystemKeepsLamportOnly) {
+  SystemConfig config;
+  config.protocol = "3PC-central";
+  config.num_sites = 4;
+  auto system = CommitSystem::Create(config);
+  ASSERT_TRUE(system.ok());
+  (*system)->RunToCompletion((*system)->Begin());
+  for (SiteId s = 1; s <= 4; ++s) {
+    ClockStamp now = (*system)->clocks().Current(s);
+    EXPECT_GT(now.lamport, 0u) << "site " << s;
+    EXPECT_FALSE(now.stamped()) << "site " << s;
+  }
+}
+
+TEST(CausalTraceTest, EveryStampReaderGetsVectors) {
+  const size_t n = 4;
+  for (int reader = 0; reader < 4; ++reader) {
+    SCOPED_TRACE(reader);
+    SystemConfig config;
+    config.protocol = "3PC-central";
+    config.num_sites = n;
+    config.observe_policy = ObserverPolicy::kCount;
+    config.trace = reader == 0;
+    config.observe = reader == 1;
+    config.blocking = reader == 2;
+    if (reader == 3) {
+      config.backend = SystemConfig::Backend::kThreaded;
+      config.record_schedule = true;
+    }
+    auto system = CommitSystem::Create(config);
+    ASSERT_TRUE(system.ok());
+    TxnResult result = (*system)->RunToCompletion((*system)->Begin());
+    EXPECT_EQ(result.outcome, Outcome::kCommitted);
+    for (SiteId s = 1; s <= n; ++s) {
+      EXPECT_EQ((*system)->clocks().Current(s).vc.size(), n) << "site " << s;
+    }
+  }
+}
+
+TEST(CausalTraceTest, StampingDoesNotChangeTheRun) {
+  // One seed, with and without a trace recorder: the same outcomes, the
+  // same messages and the same virtual times, transaction by transaction.
+  for (const std::string& protocol : BuiltinProtocolNames()) {
+    SCOPED_TRACE(protocol);
+    std::vector<TxnResult> runs[2];
+    for (int traced = 0; traced < 2; ++traced) {
+      SystemConfig config;
+      config.protocol = protocol;
+      config.num_sites = 4;
+      config.seed = 11;
+      config.trace = traced == 1;
+      auto system = CommitSystem::Create(config);
+      ASSERT_TRUE(system.ok());
+      for (int i = 0; i < 8; ++i) {
+        TransactionId txn = (*system)->Begin();
+        if (i % 3 == 2) (*system)->SetVote(txn, 2, false);
+        runs[traced].push_back((*system)->RunToCompletion(txn));
+      }
+    }
+    for (size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[0][i].outcome, runs[1][i].outcome) << "txn " << i;
+      EXPECT_EQ(runs[0][i].messages, runs[1][i].messages) << "txn " << i;
+      EXPECT_EQ(runs[0][i].start_time, runs[1][i].start_time) << "txn " << i;
+      EXPECT_EQ(runs[0][i].end_time, runs[1][i].end_time) << "txn " << i;
+    }
   }
 }
 

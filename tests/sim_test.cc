@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
+#include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
@@ -127,6 +129,144 @@ TEST(EventQueueTest, PendingExposesLabelsAndPopByIdSelects) {
   EXPECT_FALSE(q.PopById(id, &t));  // Dead id: empty function.
   q.Pop(&t)();
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+TEST(EventQueueTest, IdsAreNeverReissued) {
+  // Slots are reused after a pop and the storage is released whenever the
+  // queue drains; ids must still be unique and ascend in push order.
+  EventQueue q;
+  std::set<EventId> seen;
+  EventId last = 0;
+  auto push = [&](SimTime at) {
+    EventId id = q.Push(at, [] {});
+    EXPECT_GT(id, last);
+    EXPECT_TRUE(seen.insert(id).second) << "id " << id << " reissued";
+    last = id;
+    return id;
+  };
+  SimTime t;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 600; ++i) push(100 + i % 7);  // Spans chunks.
+    for (int i = 0; i < 300; ++i) q.Pop(&t)();
+    for (int i = 0; i < 300; ++i) push(50);  // Reuses the freed slots.
+    while (!q.Empty()) q.Pop(&t)();  // Drains: the slab is released.
+  }
+  EventId cancelled = push(10);
+  q.Cancel(cancelled);
+  push(10);
+  EXPECT_EQ(seen.size(), 3u * 900u + 2u);
+}
+
+TEST(EventQueueTest, CancelOfFiredIdLeavesItsSlotsNewEventAlone) {
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(500, [&] { order.push_back(2); });  // Keeps the queue from draining.
+  EventId fired = q.Push(100, [&] { order.push_back(0); });
+  SimTime t;
+  q.Pop(&t)();
+  EventId reuser = q.Push(200, [&] { order.push_back(1); });
+  EXPECT_NE(reuser, fired);
+  q.Cancel(fired);  // The fired id's slot now holds `reuser`.
+  EXPECT_TRUE(q.Contains(reuser));
+  EXPECT_EQ(q.Size(), 2u);
+  while (!q.Empty()) q.Pop(&t)();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueTest, TimeSeqOrderHoldsAcrossCancelAndPopById) {
+  // Pushes at scrambled times, then cancels and pops-by-id a few, with new
+  // pushes in between so freed slots are reused out of push order. What
+  // remains must pop by (time, push order).
+  EventQueue q;
+  struct Pushed {
+    SimTime time;
+    int order;
+    EventId id;
+  };
+  std::vector<Pushed> pushed;
+  std::vector<int> fired;
+  int next = 0;
+  auto push = [&](SimTime at) {
+    int me = next++;
+    pushed.push_back({at, me, q.Push(at, [&fired, me] { fired.push_back(me); })});
+  };
+  for (int i = 0; i < 40; ++i) push(static_cast<SimTime>((i * 37) % 11));
+  std::set<int> removed;
+  SimTime t;
+  for (int i = 0; i < 40; i += 3) {
+    q.Cancel(pushed[i].id);
+    removed.insert(pushed[i].order);
+    push(static_cast<SimTime>(i % 5));
+  }
+  for (int i = 1; i < 40; i += 7) {
+    if (removed.count(pushed[i].order) != 0) continue;
+    q.PopById(pushed[i].id, &t)();
+    EXPECT_EQ(t, pushed[i].time);
+    removed.insert(pushed[i].order);
+    push(static_cast<SimTime>(i % 4));
+  }
+  fired.clear();
+  while (!q.Empty()) q.Pop(&t)();
+
+  std::vector<Pushed> expected;
+  for (const Pushed& p : pushed) {
+    if (removed.count(p.order) == 0) expected.push_back(p);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Pushed& a, const Pushed& b) { return a.time < b.time; });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], expected[i].order) << "position " << i;
+  }
+}
+
+TEST(EventQueueTest, PendingIsInPushOrderForEqualTimes) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(q.Push(100, [] {}));
+  // Free slots 1, 3 and 5, then refill them: the newest events now sit in
+  // low slots, ahead of older ones in storage order.
+  for (int i : {5, 1, 3}) q.Cancel(ids[i]);
+  std::vector<EventId> expected = {ids[0], ids[2], ids[4], ids[6], ids[7]};
+  for (int i = 0; i < 3; ++i) expected.push_back(q.Push(100, [] {}));
+  std::vector<PendingEvent> pending = q.Pending();
+  ASSERT_EQ(pending.size(), expected.size());
+  for (size_t i = 0; i < pending.size(); ++i) {
+    EXPECT_EQ(pending[i].id, expected[i]) << "position " << i;
+  }
+}
+
+TEST(SimulatorTest, NetworkDeliveryLabelComesFromTheMessage) {
+  Simulator sim(1);
+  Network net(&sim, DelayModel{100, 0});
+  for (SiteId s = 1; s <= 3; ++s) {
+    ASSERT_TRUE(net.RegisterSite(s, [](const Message&) {}).ok());
+  }
+  Message first;
+  first.type = "yes";
+  first.from = 2;
+  first.to = 1;
+  first.txn = 7;
+  ASSERT_TRUE(net.Send(first).ok());
+  Message second = first;
+  second.type = "a-message-type-too-long-for-sso";
+  second.from = 3;
+  second.txn = 8;
+  ASSERT_TRUE(net.Send(second).ok());
+
+  std::vector<PendingEvent> pending = sim.Pending();
+  ASSERT_EQ(pending.size(), 2u);
+  const Message* sent[] = {&first, &second};
+  for (size_t i = 0; i < 2; ++i) {
+    const EventLabel& label = pending[i].label;
+    EXPECT_EQ(label.cls, EventClass::kDelivery);
+    EXPECT_EQ(label.site, sent[i]->to);
+    EXPECT_EQ(label.from, sent[i]->from);
+    EXPECT_EQ(label.txn, sent[i]->txn);
+    EXPECT_EQ(label.msg_type, sent[i]->type);
+    EXPECT_EQ(label.seq, i + 1);  // The network's send sequence.
+    EXPECT_EQ(pending[i].time, 100u);
+  }
 }
 
 TEST(SimulatorTest, RunControlledFollowsStrategy) {
